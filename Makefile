@@ -17,7 +17,7 @@ help:
 	@echo "make check-faults  - fault-injection & resilience suites under -race"
 	@echo "make check-obs     - observability determinism suites under -race"
 	@echo "make check-chaos   - durability suites & chaos soak (kill/resume) under -race"
-	@echo "make check-symbolic- symbolic-lever property & differential suites under -race"
+	@echo "make check-symbolic- symbolic-engine property & differential suites under -race"
 	@echo "make check-cache   - verdict-cache & fingerprint-coverage suites under -race"
 	@echo "make check-dist    - distributed ledger & multi-process chaos suites under -race"
 	@echo "make check-live    - live telemetry (bus, HTTP surface, fleet, flight) under -race"
@@ -82,16 +82,20 @@ check-chaos:
 		./internal/testgen ./internal/measure ./internal/partition \
 		./internal/core ./internal/experiments
 
-# check-symbolic drives the symbolic-speed levers' correctness surface
-# under the race detector: the BDD kernel's property suites (including
-# reordering), the mc differential suites (sliced vs unsliced, reordered vs
-# static, pooled vs fresh, order handoff), the slicing pass's unit tests,
-# and the end-to-end lever determinism pins on the wiper study.
+# check-symbolic drives the symbolic engines' correctness surface under
+# the race detector, at one and two CPUs: the BDD kernel's property suites
+# (including reordering), the mc differential suites (sliced vs unsliced,
+# reordered vs static, pooled vs fresh, order handoff, the three-engine
+# agreement on random models), the forward engine's dispatch, fallback and
+# resilience tests, the node-budget failover from the forward engine to
+# the explicit one, the forward-vs-reachability check of every residue
+# path of a generated program, the slicing pass's unit tests, and the
+# end-to-end lever determinism pins on the wiper study.
 check-symbolic:
-	$(GO) test -race -count 1 ./internal/bdd ./internal/opt
-	$(GO) test -race -count 1 \
-		-run 'Sliced|Slice|Reorder|Pooled|OrderBook|Lever' \
-		./internal/mc ./internal/experiments
+	$(GO) test -race -count 1 -cpu 1,2 ./internal/bdd ./internal/opt
+	$(GO) test -race -count 1 -cpu 1,2 \
+		-run 'Sliced|Slice|Reorder|Pooled|OrderBook|Lever|EnginesAgree|Forward|FailsOver|Failover' \
+		./internal/mc ./internal/experiments ./internal/testgen
 
 # check-cache drives the incremental re-analysis surface under the race
 # detector: the vcache store's own suite (concurrent put/get included),

@@ -79,6 +79,26 @@ func align(m *bdd.Manager, a, b Vec) (Vec, Vec) {
 	return Extend(m, a, w), Extend(m, b, w)
 }
 
+// alignCmp widens both operands of a comparison to a width at which their
+// values compare exactly. With mixed signedness the common width alone is
+// not enough: an unsigned operand at least as wide as the signed one would
+// have its top bit read as a sign (x in 0..100 at 7 bits compared with -7
+// would make x = 69 negative), so both widen by one more bit, where the
+// unsigned value's top bit is always clear.
+func alignCmp(m *bdd.Manager, a, b Vec) (Vec, Vec) {
+	if a.Signed == b.Signed {
+		return align(m, a, b)
+	}
+	u, s := a.Width(), b.Width()
+	if a.Signed {
+		u, s = s, u
+	}
+	if u < s {
+		return align(m, a, b)
+	}
+	return Extend(m, a, u+1), Extend(m, b, u+1)
+}
+
 // Add returns a + b at the common width (wrapping).
 func Add(m *bdd.Manager, a, b Vec) Vec {
 	a, b = align(m, a, b)
@@ -178,9 +198,9 @@ func ShrConst(m *bdd.Manager, v Vec, k int) Vec {
 	return out
 }
 
-// Eq returns the predicate a == b.
+// Eq returns the predicate a == b over the operands' values.
 func Eq(m *bdd.Manager, a, b Vec) bdd.Ref {
-	a, b = align(m, a, b)
+	a, b = alignCmp(m, a, b)
 	r := bdd.True
 	for i := range a.Bits {
 		r = m.And(r, m.Iff(a.Bits[i], b.Bits[i]))
@@ -191,9 +211,10 @@ func Eq(m *bdd.Manager, a, b Vec) bdd.Ref {
 	return r
 }
 
-// Lt returns the predicate a < b, signed when either operand is signed.
+// Lt returns the predicate a < b over the operands' values: signed when
+// either operand is signed, at a width where both values are exact.
 func Lt(m *bdd.Manager, a, b Vec) bdd.Ref {
-	a, b = align(m, a, b)
+	a, b = alignCmp(m, a, b)
 	signed := a.Signed || b.Signed
 	w := a.Width()
 	if w == 0 {

@@ -215,3 +215,59 @@ func TestConstRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestMixedSignComparisons compares an unsigned operand with a signed one
+// at every pair of widths and values. The interpreter compares the two
+// values as plain integers, whatever their types' widths and signedness,
+// so the symbolic predicates must too. Range analysis makes such pairs
+// common: x in 0..100 narrows to 7-bit unsigned, and x < -7 then compared
+// x = 69 as the 7-bit signed value -59.
+func TestMixedSignComparisons(t *testing.T) {
+	for uw := 1; uw <= 5; uw++ {
+		for sw := 1; sw <= 5; sw++ {
+			m := bdd.New(uw + sw)
+			uvars := make([]int, uw)
+			for i := range uvars {
+				uvars[i] = i
+			}
+			svars := make([]int, sw)
+			for i := range svars {
+				svars[i] = uw + i
+			}
+			u := FromVars(m, uvars, false)
+			s := FromVars(m, svars, true)
+			preds := []struct {
+				name string
+				f    bdd.Ref
+				want func(a, b int64) bool
+			}{
+				{"u<s", Lt(m, u, s), func(a, b int64) bool { return a < b }},
+				{"s<u", Lt(m, s, u), func(a, b int64) bool { return b < a }},
+				{"u<=s", Le(m, u, s), func(a, b int64) bool { return a <= b }},
+				{"s<=u", Le(m, s, u), func(a, b int64) bool { return b <= a }},
+				{"u==s", Eq(m, u, s), func(a, b int64) bool { return a == b }},
+			}
+			for uv := int64(0); uv < 1<<uint(uw); uv++ {
+				for sraw := int64(0); sraw < 1<<uint(sw); sraw++ {
+					sv := sraw
+					if sraw >= 1<<uint(sw-1) {
+						sv -= 1 << uint(sw)
+					}
+					asg := make([]bool, uw+sw)
+					for i := 0; i < uw; i++ {
+						asg[i] = uv&(1<<uint(i)) != 0
+					}
+					for i := 0; i < sw; i++ {
+						asg[uw+i] = sraw&(1<<uint(i)) != 0
+					}
+					for _, p := range preds {
+						if got := m.Eval(p.f, asg); got != p.want(uv, sv) {
+							t.Fatalf("%d-bit unsigned %d, %d-bit signed %d: %s = %v, want %v",
+								uw, uv, sw, sv, p.name, got, !got)
+						}
+					}
+				}
+			}
+		}
+	}
+}

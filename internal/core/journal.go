@@ -35,11 +35,14 @@ import (
 // model's per-op and per-external maps — each a latent splice: a resume
 // across those settings would merge runs with different degradation
 // ledgers or measurements. v2 closes the class; the reflection-based
-// coverage test (fingerprint_coverage_test.go) keeps it closed.
+// coverage test (fingerprint_coverage_test.go) keeps it closed. v3 marks
+// the switch of loop-free path queries to the forward engine: a journal
+// written under reachability carries that engine's Steps and PeakNodes,
+// so it resets instead of splicing them into a forward-engine report.
 func fingerprint(file *ast.File, fn *ast.FuncDecl, g *cfg.Graph, opt Options, tg testgen.Config) string {
 	h := fnv.New64a()
 	put := func(format string, args ...any) { fmt.Fprintf(h, format, args...) }
-	put("wcet-journal-v2\x00")
+	put("wcet-journal-v3\x00")
 	io.WriteString(h, ast.Print(file))
 	put("\x00fn=%s blocks=%d\x00", fn.Name, g.NumNodes())
 	put("bound=%d exhaustive=%v maxexh=%d mctimeout=%d\x00",

@@ -129,25 +129,39 @@ func Context(stage string, ctxErr error) error {
 	}
 }
 
-// Attribute fills in missing stage/path attribution on an *Error in the
-// chain, or wraps a foreign error as ErrInfrastructure with the given
-// attribution. Existing attribution is never overwritten, so the innermost
-// (most precise) stage wins. A nil err returns nil.
+// Attribute returns err with missing stage/path attribution filled in, or
+// wraps a foreign error as ErrInfrastructure with the given attribution.
+// Existing attribution is never overwritten, so the innermost (most
+// precise) stage wins. The received error is never mutated: errors are
+// values that several paths may hold at once (an injected fault, a shared
+// cause), and stamping one path's key into a shared *Error would leak it
+// into every other holder. An attributed *Error is therefore a copy; an
+// *Error behind a foreign wrapper, which cannot be rebuilt, gains its
+// attribution from a new *Error of the same kind around err. A nil err
+// returns nil.
 func Attribute(err error, stage, path string) error {
 	if err == nil {
 		return nil
 	}
 	var fe *Error
-	if errors.As(err, &fe) {
-		if fe.Stage == "" {
-			fe.Stage = stage
-		}
-		if fe.Path == "" {
-			fe.Path = path
-		}
+	if !errors.As(err, &fe) {
+		return &Error{Kind: ErrInfrastructure, Stage: stage, Path: path, Cause: err}
+	}
+	if (fe.Stage != "" || stage == "") && (fe.Path != "" || path == "") {
 		return err
 	}
-	return &Error{Kind: ErrInfrastructure, Stage: stage, Path: path, Cause: err}
+	out := &Error{Kind: fe.Kind, Cause: err}
+	if top, ok := err.(*Error); ok {
+		c := *top
+		out = &c
+	}
+	if fe.Stage == "" {
+		out.Stage = stage
+	}
+	if fe.Path == "" {
+		out.Path = path
+	}
+	return out
 }
 
 // From classifies an arbitrary stage error into the taxonomy: context

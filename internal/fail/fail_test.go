@@ -84,6 +84,37 @@ func TestAttributeInnermostStageWins(t *testing.T) {
 	}
 }
 
+// TestAttributeSharedErrorFromTwoPaths attributes one error value from
+// two paths, as two workers do when an injected fault or a shared cause
+// reaches both. Each result must carry its own path, and the shared value
+// must stay unattributed.
+func TestAttributeSharedErrorFromTwoPaths(t *testing.T) {
+	shared := Budget("mc", "injected step budget")
+	wrapped := fmt.Errorf("retry: %w", Budget("", "injected"))
+	for _, err := range []error{shared, wrapped} {
+		a := Attribute(err, "testgen", "P1")
+		b := Attribute(err, "testgen", "P2")
+		var fa, fb *Error
+		if !errors.As(a, &fa) || !errors.As(b, &fb) {
+			t.Fatalf("attributed errors lost their type: %v, %v", a, b)
+		}
+		if fa.Path != "P1" || fb.Path != "P2" {
+			t.Errorf("paths %q, %q; want P1, P2", fa.Path, fb.Path)
+		}
+		if !errors.Is(a, ErrBudgetExceeded) || !errors.Is(b, ErrBudgetExceeded) {
+			t.Errorf("attribution lost the kind: %v, %v", a, b)
+		}
+		var orig *Error
+		errors.As(err, &orig)
+		if orig.Path != "" {
+			t.Errorf("Attribute mutated its argument: path %q", orig.Path)
+		}
+	}
+	if got := Attribute(shared, "testgen", "P1").Error(); got != "mc: budget exceeded: injected step budget (P1)" {
+		t.Errorf("attributed string = %q", got)
+	}
+}
+
 func TestAttributeWrapsForeignErrors(t *testing.T) {
 	root := fmt.Errorf("file missing")
 	out := Attribute(root, "core", "")

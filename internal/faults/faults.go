@@ -38,6 +38,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"wcet/internal/fail"
 )
 
 // Mode is what an injected fault does at its site.
@@ -232,7 +234,27 @@ func Fire(ctx context.Context, site string, index int) error {
 		}
 	}
 	if r.Err != nil {
-		return r.Err
+		return fresh(r.Err)
 	}
 	return fmt.Errorf("injected fault at %s#%d", site, index)
 }
+
+// fresh returns a new error value for one firing of a rule's error. Every
+// holder of an injected error gets its own value, so nothing a site or
+// its callers do to one firing's error can show up in another's: a
+// *fail.Error is copied, any other error is wrapped, and both still match
+// the rule's error under errors.Is.
+func fresh(err error) error {
+	if fe, ok := err.(*fail.Error); ok {
+		c := *fe
+		return &c
+	}
+	return &fired{err}
+}
+
+// fired is a firing of a rule's foreign error: it renders and unwraps to
+// that error.
+type fired struct{ err error }
+
+func (f *fired) Error() string { return f.err.Error() }
+func (f *fired) Unwrap() error { return f.err }

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"wcet/internal/fail"
 )
 
 func TestNoInjectorIsNoOp(t *testing.T) {
@@ -19,7 +21,7 @@ func TestFailRuleFiresOnExactIndexOnly(t *testing.T) {
 	ctx := With(context.Background(), New(Rule{Site: "measure.run", Index: 2, Err: custom}))
 	for i := 0; i < 5; i++ {
 		err := Fire(ctx, "measure.run", i)
-		if i == 2 && err != custom {
+		if i == 2 && !errors.Is(err, custom) {
 			t.Errorf("index 2: got %v, want the armed error", err)
 		}
 		if i != 2 && err != nil {
@@ -131,5 +133,24 @@ func TestMaxFiresModelsTransientFaults(t *testing.T) {
 	}
 	if got := len(in.Fired()); got != 4 {
 		t.Errorf("fired %d times, want 4 (2 per pair)", got)
+	}
+}
+
+// TestFiringsReturnFreshErrors fires one rule twice and requires two
+// distinct error values that both still match the armed error, for a
+// *fail.Error and for a foreign error alike.
+func TestFiringsReturnFreshErrors(t *testing.T) {
+	for _, armed := range []error{fail.Budget("mc", "injected"), errors.New("boom")} {
+		ctx := With(context.Background(), New(Rule{Site: "testgen.mc", Index: -1, Err: armed}))
+		a, b := Fire(ctx, "testgen.mc", 1), Fire(ctx, "testgen.mc", 2)
+		if a == b || a == armed {
+			t.Errorf("%v: firings share one error value", armed)
+		}
+		if !errors.Is(a, armed) && !errors.Is(a, fail.ErrBudgetExceeded) {
+			t.Errorf("firing %v does not match the armed error %v", a, armed)
+		}
+		if a.Error() != armed.Error() {
+			t.Errorf("firing renders %q, want %q", a, armed)
+		}
 	}
 }

@@ -3,11 +3,22 @@
 // whose initial state is the wanted test datum — or proves the trap
 // unreachable, establishing path infeasibility.
 //
-// Two engines are provided: the symbolic engine (BDD-based breadth-first
-// reachability with counterexample extraction) carries the real workloads;
-// the explicit-state engine enumerates concrete states and cross-checks the
-// symbolic engine on small models. Both report the metrics of the paper's
-// Table 2: wall time, memory footprint, and steps (BFS iterations).
+// Three engines are provided. The symbolic engine (BDD-based breadth-first
+// reachability with counterexample extraction) decides any model; it is the
+// engine of the paper's Table 2 and the reference of the differential
+// suites. The forward engine (forward.go) decides models whose location
+// graph is acyclic in one topological pass, without a transition relation
+// or a fixpoint. The explicit-state engine enumerates concrete states and
+// cross-checks the others on small models. All report the metrics of
+// Table 2: wall time, memory footprint, and steps (BFS iterations, or
+// locations visited by the forward pass).
+//
+// Dispatch: NewQuery and CheckCtx — what test generation calls — use the
+// forward engine when the sliced model is acyclic between its initial
+// location and its trap, and reachability otherwise, or when the forward
+// pass meets overlapping join conditions. There is no option: the model's
+// shape decides. CheckSymbolic and NewSymbolicQuery always use
+// reachability.
 //
 // Engine state is per-query: every check builds its own encoding and BDD
 // manager (managers are not goroutine-safe) and returns its Stats by value
@@ -27,7 +38,8 @@ import (
 // Stats are the cost metrics of one run (the Table 2 columns).
 type Stats struct {
 	// Steps counts breadth-first iterations until the trap was hit or the
-	// fixpoint was reached — the paper's "steps" column.
+	// fixpoint was reached — the paper's "steps" column. The forward
+	// engine counts the locations its topological pass visits.
 	Steps int
 	// PeakNodes is the BDD table's high-water node count over the run
 	// (symbolic engine). Dynamic reordering can shrink the live table
@@ -47,6 +59,8 @@ type Stats struct {
 	Duration time.Duration
 	// States is the number of distinct reachable states visited (explicit)
 	// or a satisfying-assignment estimate of the reachable set (symbolic).
+	// The forward engine reports the number of initial states whose run
+	// reaches the trap.
 	States float64
 	// StateBits is the encoded state-vector width of the checked model.
 	StateBits int

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -74,50 +75,81 @@ func randModel(rng *rand.Rand) *tsys.Model {
 	return m
 }
 
+// asDAG returns a copy of a random model with every edge pointing from the
+// lower location index to the higher one (self-loops move one location
+// on), so the location graph is acyclic and the forward engine applies.
+func asDAG(m *tsys.Model) *tsys.Model {
+	d := m.Clone()
+	for _, e := range d.Edges {
+		if e.From > e.To {
+			e.From, e.To = e.To, e.From
+		}
+		if e.From == e.To {
+			if int(e.To)+1 < d.NLocs {
+				e.To++
+			} else {
+				e.From--
+			}
+		}
+	}
+	return d
+}
+
 func TestEnginesAgreeOnRandomModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	trials := 80
 	if testing.Short() {
 		trials = 20
 	}
-	agreeReach := 0
+	agreeReach, forwardDecided, forwardReach := 0, 0, 0
 	for trial := 0; trial < trials; trial++ {
 		m := randModel(rng)
-		sym, err := CheckSymbolic(m, Options{})
-		if err != nil {
-			t.Fatalf("trial %d: symbolic: %v", trial, err)
-		}
-		exp, err := CheckExplicit(m, Options{})
-		if err != nil {
-			t.Fatalf("trial %d: explicit: %v", trial, err)
-		}
-		if sym.Reachable != exp.Reachable {
-			t.Fatalf("trial %d: engines disagree: symbolic=%v explicit=%v on\n%s",
-				trial, sym.Reachable, exp.Reachable, m)
-		}
-		if !sym.Reachable {
-			continue
-		}
-		agreeReach++
-		// Confirm the symbolic witness concretely: pin every input to the
-		// witness value and the trap must still be explicitly reachable.
-		pinned := m.Clone()
-		for id, val := range sym.Witness {
-			v := pinned.Vars[id]
-			v.Input = false
-			v.Init = tsys.InitConst
-			v.InitVal = val
-		}
-		rep, err := CheckExplicit(pinned, Options{})
-		if err != nil {
-			t.Fatalf("trial %d: witness replay: %v", trial, err)
-		}
-		if !rep.Reachable {
-			t.Fatalf("trial %d: symbolic witness %v does not reach the trap explicitly on\n%s",
-				trial, sym.Witness, m)
+		// Every random model is checked as drawn (usually cyclic) and as a
+		// DAG, where NewQuery's forward engine is a third engine to agree.
+		for _, model := range []*tsys.Model{m, asDAG(m)} {
+			sym, err := CheckSymbolic(model, Options{})
+			if err != nil {
+				t.Fatalf("trial %d: symbolic: %v", trial, err)
+			}
+			exp, err := CheckExplicit(model, Options{})
+			if err != nil {
+				t.Fatalf("trial %d: explicit: %v", trial, err)
+			}
+			if sym.Reachable != exp.Reachable {
+				t.Fatalf("trial %d: engines disagree: symbolic=%v explicit=%v on\n%s",
+					trial, sym.Reachable, exp.Reachable, model)
+			}
+			fwd, forward, _, err := dispatched(t, context.Background(), model, Options{})
+			if err != nil {
+				t.Fatalf("trial %d: dispatched: %v", trial, err)
+			}
+			if fwd.Reachable != sym.Reachable {
+				t.Fatalf("trial %d: dispatched engine (forward=%v) says %v, symbolic %v on\n%s",
+					trial, forward, fwd.Reachable, sym.Reachable, model)
+			}
+			if forward {
+				forwardDecided++
+			}
+			if !sym.Reachable {
+				continue
+			}
+			agreeReach++
+			// Confirm each witness concretely: pin every input to the
+			// witness value and the trap must still be explicitly reachable.
+			confirmWitness(t, trial, model, sym.Witness)
+			confirmWitness(t, trial, model, fwd.Witness)
+			if forward {
+				forwardReach++
+			}
 		}
 	}
 	if agreeReach == 0 {
 		t.Error("no random model had a reachable trap; generator too weak to test anything")
 	}
+	if forwardDecided == 0 || forwardReach == 0 {
+		t.Errorf("forward engine decided %d models (%d reachable); generator too weak to test it",
+			forwardDecided, forwardReach)
+	}
+	t.Logf("%d reachable verdicts; forward engine decided %d models, %d reachable",
+		agreeReach, forwardDecided, forwardReach)
 }

@@ -99,13 +99,14 @@ func (b *OrderBook) learn(fp uint64, order []int32) {
 	}
 }
 
-// SymbolicQuery is a reusable reachability query against one model. It
-// exists so retry loops stop paying the per-attempt setup: the model
-// pointer, options and fingerprint persist across CheckCtx calls, and the
-// expensive state — manager lease, bit-blasted transition relations — is
-// built lazily on first use, so an attempt that fails before reaching the
-// engine (the common transient-fault shape) costs the next attempt
-// nothing.
+// SymbolicQuery is a reusable symbolic query against one model, decided by
+// reachability (NewSymbolicQuery) or by the engine the model's shape
+// selects (NewQuery). It exists so retry loops stop paying the per-attempt
+// setup: the model pointer, options and fingerprint persist across CheckCtx
+// calls, and the expensive state — manager lease, bit-blasted transition
+// relations or the forward pass's order — is built lazily on first use, so
+// an attempt that fails before reaching the engine (the common
+// transient-fault shape) costs the next attempt nothing.
 //
 // Determinism contract: a CheckCtx that returns an error releases every
 // piece of built state, and learned-order updates are committed only on
@@ -143,13 +144,40 @@ type SymbolicQuery struct {
 	reorders    int
 	nodesFreed  int64
 
+	// tryForward selects the forward engine for a model whose location
+	// graph is acyclic (NewQuery); fw is that engine's built state.
+	// fellBack records that the forward pass met overlapping join
+	// conditions, after which the query decides by reachability. Both
+	// outcomes are functions of the model, so they survive release.
+	tryForward bool
+	fw         *forward
+	fellBack   bool
+
 	closed bool
 }
 
-// NewSymbolicQuery prepares a query for the model. Nothing is built until
-// the first CheckCtx call; Close releases whatever was built.
+// NewSymbolicQuery prepares a reachability query for the model. Nothing is
+// built until the first CheckCtx call; Close releases whatever was built.
 func NewSymbolicQuery(model *tsys.Model, opt Options) *SymbolicQuery {
 	return &SymbolicQuery{model: model, opt: opt.withDefaults(), fp: model.Fingerprint()}
+}
+
+// NewQuery prepares a query that picks its engine from the model: the
+// forward engine (forward.go) when the (sliced) location graph between the
+// initial location and the trap is acyclic, reachability otherwise or when
+// the forward pass meets overlapping join conditions. Verdicts are the
+// same either way; statistics are those of the engine that decided.
+func NewQuery(model *tsys.Model, opt Options) *SymbolicQuery {
+	q := NewSymbolicQuery(model, opt)
+	q.tryForward = true
+	return q
+}
+
+// CheckCtx is a one-shot NewQuery check.
+func CheckCtx(ctx context.Context, model *tsys.Model, opt Options) (*Result, error) {
+	q := NewQuery(model, opt)
+	defer q.Close()
+	return q.CheckCtx(ctx)
 }
 
 // Close returns the query's manager to the pool (if one was built) and
@@ -162,11 +190,11 @@ func (q *SymbolicQuery) Close() {
 // release drops all built state. After release the next CheckCtx rebuilds
 // from scratch, exactly as a fresh query would.
 func (q *SymbolicQuery) release() {
-	if q.e == nil {
+	m := q.manager()
+	if m == nil {
 		return
 	}
-	m := q.e.m
-	q.e = nil
+	q.e, q.fw = nil, nil
 	q.rels = nil
 	q.trap, q.init = bdd.False, bdd.False
 	q.reorderBase, q.reorderDone, q.reorders, q.nodesFreed = 0, false, 0, 0
@@ -176,11 +204,33 @@ func (q *SymbolicQuery) release() {
 	}
 }
 
-// build slices the model to the trap query (unless disabled), leases a
+// manager returns the built engine's manager, or nil before build.
+func (q *SymbolicQuery) manager() *bdd.Manager {
+	switch {
+	case q.fw != nil:
+		return q.fw.e.m
+	case q.e != nil:
+		return q.e.m
+	}
+	return nil
+}
+
+// acquire leases a manager for n variables from the pool, or allocates a
+// fresh one under NoPool.
+func (q *SymbolicQuery) acquire(n int) *bdd.Manager {
+	if q.opt.NoPool {
+		return bdd.New(n)
+	}
+	return managers.Get(n)
+}
+
+// build slices the model to the trap query (unless disabled) and builds
+// the engine that decides it. For the forward engine that is the
+// topological order and the initial state. For reachability it leases a
 // manager, seeds it with a learned order if the book has one for this
 // model, and bit-blasts the transition relations, trap and initial-state
-// predicates. Reordering may trigger between relation builds: at that
-// point the relations built so far are the entire live set.
+// predicates; reordering may trigger between relation builds, where the
+// relations built so far are the entire live set.
 func (q *SymbolicQuery) build() error {
 	model := q.model
 	if !q.opt.NoSlice {
@@ -191,12 +241,19 @@ func (q *SymbolicQuery) build() error {
 		q.sliceBits = int64(ps.BitsBefore - ps.BitsAfter)
 		q.sliceEdges = int64(ps.EdgesBefore - ps.EdgesAfter)
 	}
-	e := newEncoding(model, func(n int) *bdd.Manager {
-		if q.opt.NoPool {
-			return bdd.New(n)
+	if q.tryForward {
+		if order, out, ok := topoCone(model); ok {
+			q.fw = newForward(model, order, out, func(n int) *bdd.Manager {
+				m := q.acquire(n)
+				q.health0 = m.Health()
+				m.SetNodeLimit(q.opt.MaxNodes)
+				return m
+			})
+			return nil
 		}
-		return managers.Get(n)
-	})
+		q.tryForward = false
+	}
+	e := newEncoding(model, q.acquire)
 	m := e.m
 	q.health0 = m.Health()
 	if o := q.opt.Orders.get(q.fp, m.NumVars()); o != nil {
@@ -267,10 +324,11 @@ func (q *SymbolicQuery) maybeReorder(roots func() []*bdd.Ref) {
 	q.reorderBase = m.NodeCount()
 }
 
-// CheckCtx runs the reachability query with cooperative cancellation and
-// budget enforcement. The engine checks the context between breadth-first
-// iterations, bounds the BDD table at opt.MaxNodes and the iteration count
-// at opt.MaxSteps, and bounds its own wall clock at opt.Timeout. Every
+// CheckCtx runs the query with cooperative cancellation and budget
+// enforcement. The engine checks the context between steps (breadth-first
+// iterations, or locations of the forward pass), bounds the BDD table at
+// opt.MaxNodes and reachability's iteration count at opt.MaxSteps, and
+// bounds its own wall clock at opt.Timeout. Every
 // bound violation returns a structured fail.ErrBudgetExceeded (a truncated
 // search must never masquerade as a proof of infeasibility); cancellation
 // returns fail.ErrCancelled.
@@ -313,14 +371,99 @@ func (q *SymbolicQuery) CheckCtx(ctx context.Context) (res *Result, err error) {
 			q.release()
 		}
 	}()
-	if q.e == nil {
+	if q.e == nil && q.fw == nil {
 		if berr := q.build(); berr != nil {
 			return nil, berr
 		}
 	}
-	e, m := q.e, q.e.m
+	if q.fw != nil {
+		res, err = q.checkForward(ctx)
+		if err == errJoinOverlap {
+			// One state per location cannot carry arrivals that share an
+			// initial state: decide by reachability on a fresh manager, so
+			// the statistics are those a reachability query reports.
+			q.release()
+			q.tryForward, q.fellBack = false, true
+			if berr := q.build(); berr != nil {
+				return nil, berr
+			}
+			res, err = nil, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if res == nil {
+		if res, err = q.checkReach(ctx, o); err != nil {
+			return nil, err
+		}
+	}
 
-	res = &Result{}
+	res.Stats.Duration = time.Since(start)
+	// Steps, peak nodes, reorder rounds and state bits are pure functions
+	// of model + options (the manager is fresh or reset-to-fresh, and
+	// reorder triggers fire on deterministic node counts), so they feed
+	// deterministic series; durations and capacity-dependent kernel-health
+	// counters are volatile.
+	o.Count("mc.steps", int64(res.Stats.Steps))
+	o.Count("mc.slice.bits_dropped", q.sliceBits)
+	o.Count("mc.slice.edges_dropped", q.sliceEdges)
+	o.Count("mc.reorders", int64(q.reorders))
+	o.Count("mc.reorder.nodes_freed", q.nodesFreed)
+	engine := "reach"
+	if q.fw != nil {
+		engine = "forward"
+		o.Count("mc.forward.decided", 1)
+	}
+	if q.fellBack {
+		o.Count("mc.forward.fallbacks", 1)
+	}
+	o.SetMax("mc.peak_nodes", int64(res.Stats.PeakNodes))
+	o.Hist("mc.state_bits", int64(res.Stats.StateBits))
+	o.HistV("mc.duration_ns", res.Stats.Duration.Nanoseconds())
+	m := q.manager()
+	h := m.Health().Sub(q.health0)
+	o.CountV("bdd.unique.rehashes", h.UniqueRehashes)
+	o.CountV("bdd.ite.lookups", h.ITELookups)
+	o.CountV("bdd.ite.hits", h.ITEHits)
+	o.CountV("bdd.quant.lookups", h.QuantLookups)
+	o.CountV("bdd.quant.hits", h.QuantHits)
+	o.CountV("bdd.perm.lookups", h.PermLookups)
+	o.CountV("bdd.perm.hits", h.PermHits)
+	o.SetMaxV("bdd.peak_memory_bytes", m.MemoryBytes())
+	msp.End("engine", engine, "steps", res.Stats.Steps, "reachable", res.Reachable,
+		"reorders", q.reorders)
+	return res, nil
+}
+
+// checkForward runs the forward pass (see forward.go). It returns
+// errJoinOverlap when the pass cannot decide the model.
+func (q *SymbolicQuery) checkForward(ctx context.Context) (*Result, error) {
+	f := q.fw
+	m := f.e.m
+	res := &Result{}
+	trapReach, err := f.run(ctx, f.e.model.Trap, &res.Stats.Steps)
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.PeakNodes = m.PeakNodes()
+	res.Stats.MemoryBytes = m.Footprint()
+	res.Stats.StateBits = f.e.model.StateBits()
+	// The manager's variables are exactly the free initial bits, so the
+	// count is the number of initial states whose run reaches the trap.
+	res.Stats.States = m.SatCount(trapReach)
+	if trapReach != bdd.False {
+		res.Reachable = true
+		res.Witness = f.witness(trapReach)
+	}
+	return res, nil
+}
+
+// checkReach runs breadth-first image iteration from the initial states
+// until the trap is hit or the reachable set is complete.
+func (q *SymbolicQuery) checkReach(ctx context.Context, o *obs.Observer) (*Result, error) {
+	e, m := q.e, q.e.m
+	res := &Result{}
 	reached := q.init
 	frontier := q.init
 	var rings []bdd.Ref
@@ -383,30 +526,5 @@ func (q *SymbolicQuery) CheckCtx(ctx context.Context) (res *Result, err error) {
 	// attempts never reach this point, so a book only ever carries orders
 	// learned at deterministic completion points.
 	q.opt.Orders.learn(q.fp, m.CurrentOrder())
-
-	res.Stats.Duration = time.Since(start)
-	// Steps, peak nodes, reorder rounds and state bits are pure functions
-	// of model + options (the manager is fresh or reset-to-fresh, and
-	// reorder triggers fire on deterministic node counts), so they feed
-	// deterministic series; durations and capacity-dependent kernel-health
-	// counters are volatile.
-	o.Count("mc.steps", int64(res.Stats.Steps))
-	o.Count("mc.slice.bits_dropped", q.sliceBits)
-	o.Count("mc.slice.edges_dropped", q.sliceEdges)
-	o.Count("mc.reorders", int64(q.reorders))
-	o.Count("mc.reorder.nodes_freed", q.nodesFreed)
-	o.SetMax("mc.peak_nodes", int64(res.Stats.PeakNodes))
-	o.Hist("mc.state_bits", int64(e.nbits))
-	o.HistV("mc.duration_ns", res.Stats.Duration.Nanoseconds())
-	h := m.Health().Sub(q.health0)
-	o.CountV("bdd.unique.rehashes", h.UniqueRehashes)
-	o.CountV("bdd.ite.lookups", h.ITELookups)
-	o.CountV("bdd.ite.hits", h.ITEHits)
-	o.CountV("bdd.quant.lookups", h.QuantLookups)
-	o.CountV("bdd.quant.hits", h.QuantHits)
-	o.CountV("bdd.perm.lookups", h.PermLookups)
-	o.CountV("bdd.perm.hits", h.PermHits)
-	o.SetMaxV("bdd.peak_memory_bytes", m.MemoryBytes())
-	msp.End("steps", res.Stats.Steps, "reachable", res.Reachable, "reorders", q.reorders)
 	return res, nil
 }

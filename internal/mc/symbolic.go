@@ -34,6 +34,11 @@ type encoding struct {
 	nextCube int // cube of all next-state BDD vars
 	n2c      int // permutation next→current
 	c2n      int // permutation current→next
+
+	// env, when set, is the state expressions read variables from: the
+	// forward engine points it at one location's symbolic state. Unset,
+	// variables read their current-state bits.
+	env []bv.Vec
 }
 
 // newEncoding lays out the model and obtains its manager through acquire,
@@ -83,8 +88,12 @@ func newEncoding(model *tsys.Model, acquire func(nvars int) *bdd.Manager) *encod
 func (e *encoding) curBit(s int) int  { return 2 * s }
 func (e *encoding) nextBit(s int) int { return 2*s + 1 }
 
-// varVec returns the symbolic vector of a variable over current-state bits.
+// varVec returns the symbolic vector of a variable: its entry in env when
+// one is set, else its current-state bits.
 func (e *encoding) varVec(id tsys.VarID) bv.Vec {
+	if e.env != nil {
+		return e.env[id]
+	}
 	v := e.model.Vars[id]
 	vars := make([]int, v.Bits)
 	for i := 0; i < v.Bits; i++ {
@@ -391,13 +400,18 @@ func (e *encoding) initSet() bdd.Ref {
 			}
 		case v.HasRange:
 			// Constrain free values to the declared range.
-			vec := e.varVec(tsys.VarID(id))
-			loOK := bv.Le(m, bv.Const(m, v.Lo, bitsFor(v.Lo), v.Lo < 0), vec)
-			hiOK := bv.Le(m, vec, bv.Const(m, v.Hi, bitsFor(v.Hi), v.Hi < 0))
-			r = m.And(r, m.And(loOK, hiOK))
+			r = m.And(r, inRange(m, e.varVec(tsys.VarID(id)), v))
 		}
 	}
 	return r
+}
+
+// inRange builds the predicate lo <= vec <= hi of a variable's declared
+// range.
+func inRange(m *bdd.Manager, vec bv.Vec, v *tsys.Var) bdd.Ref {
+	loOK := bv.Le(m, bv.Const(m, v.Lo, bitsFor(v.Lo), v.Lo < 0), vec)
+	hiOK := bv.Le(m, vec, bv.Const(m, v.Hi, bitsFor(v.Hi), v.Hi < 0))
+	return m.And(loOK, hiOK)
 }
 
 // CheckSymbolic runs BDD reachability toward the model's trap location.

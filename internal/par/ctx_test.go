@@ -51,20 +51,61 @@ func TestForEachCtxPanicIsolated(t *testing.T) {
 }
 
 func TestForEachCtxPanicCancelsRemainingWork(t *testing.T) {
+	// Every other body holds its worker until the pool cancels, so the
+	// panic at index 0 is always recorded while at most one body per
+	// worker is in flight, however the workers are scheduled.
 	var after atomic.Int64
 	ForEachCtx(context.Background(), 1000, 4, func(ctx context.Context, i int) error {
 		if i == 0 {
 			panic("early")
+		}
+		select {
+		case <-ctx.Done():
+		case <-time.After(10 * time.Second):
+			t.Errorf("index %d: pool never cancelled after the panic", i)
 		}
 		if i > 500 {
 			after.Add(1)
 		}
 		return nil
 	})
-	// Cancellation is cooperative, so a few in-flight bodies may land, but
-	// the bulk of the tail must never be dispatched.
-	if after.Load() > 400 {
+	// Each worker runs at most one body before it sees the cancellation,
+	// so no index past the first few may ever be dispatched.
+	if after.Load() > 0 {
 		t.Errorf("%d late indices ran after the panic; cancellation not propagated", after.Load())
+	}
+}
+
+// TestForEachCtxLowerIndexOutlivesHigherFailure fails index 5 while index
+// 2 is still in flight, and index 2 only decides after that — by checking
+// its context first, as a retry loop does. Its context must still be live,
+// so its own error wins, as it does serially.
+func TestForEachCtxLowerIndexOutlivesHigherFailure(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		failed5 := make(chan struct{})
+		err := ForEachCtx(context.Background(), 8, workers, func(ctx context.Context, i int) error {
+			switch i {
+			case 2:
+				if workers > 1 {
+					select {
+					case <-failed5:
+					case <-time.After(10 * time.Second):
+						t.Errorf("index 5 never ran while index 2 was in flight")
+					}
+				}
+				if err := ctx.Err(); err != nil {
+					return fail.Context("stage", err)
+				}
+				return fail.Infra("stage", fmt.Errorf("body 2 failed"))
+			case 5:
+				defer close(failed5)
+				return fail.Infra("stage", fmt.Errorf("body 5 failed"))
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "stage: infrastructure failure: body 2 failed" {
+			t.Errorf("workers=%d: error = %v, want the index-2 failure", workers, err)
+		}
 	}
 }
 

@@ -94,24 +94,27 @@ func ForEachCtx(ctx context.Context, n, workers int, body func(ctx context.Conte
 // ForEachWorkerCtx is ForEachWorker with cancellation, error collection and
 // panic isolation — the primitive behind every fallible pipeline stage.
 //
-// Bodies receive a context derived from ctx that is cancelled as soon as
-// any body returns a non-nil error or panics; no further indices are
-// dispatched after that, and in-flight bodies are expected to notice the
-// cancellation cooperatively. A panicking body is recovered into a
-// *fail.Error of kind ErrWorkerPanic carrying the goroutine stack — a
-// worker explosion never takes down the process and never leaks the pool's
-// goroutines (the pool always joins every worker before returning).
+// Each body receives a context derived from ctx. When a body returns a
+// non-nil error or panics, no higher index is dispatched any more and the
+// contexts of in-flight bodies with higher indices are cancelled; in-flight
+// bodies are expected to notice the cancellation cooperatively. Bodies with
+// lower indices keep running uncancelled, because one of them may fail
+// too. A panicking body is recovered into a *fail.Error of kind
+// ErrWorkerPanic carrying the goroutine stack — a worker explosion never
+// takes down the process and never leaks the pool's goroutines (the pool
+// always joins every worker before returning).
 //
 // The returned error is deterministic under deterministic bodies:
 // first-index-wins. Among all recorded non-cancellation errors the one
-// with the lowest index is returned — in serial mode dispatch stops at the
-// first error, and in parallel mode a lower-index body either completed
-// before the cancel or was already running and still records its own
-// error, so the winner is the same for every worker count. Errors that are
-// themselves cancellation fallout (bodies unwinding because a peer failed)
-// never win over the peer's root-cause error. When the parent ctx itself
-// is cancelled the pool reports it via the fail taxonomy: ErrCancelled for
-// an explicit cancel, ErrBudgetExceeded for an expired deadline.
+// with the lowest index is returned. In serial mode dispatch stops at the
+// first error; in parallel mode every index below a failure runs to
+// completion with a live context, so the lowest failing index records its
+// own error however the workers are scheduled — even a body that checks
+// its context before doing anything. Errors that are themselves
+// cancellation fallout (bodies unwinding because a peer failed) never win
+// over the peer's root-cause error. When the parent ctx itself is
+// cancelled the pool reports it via the fail taxonomy: ErrCancelled for an
+// explicit cancel, ErrBudgetExceeded for an expired deadline.
 func ForEachWorkerCtx(ctx context.Context, n, workers int, newWorker func(worker int) func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return fail.Context("", ctx.Err())
@@ -120,8 +123,6 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, newWorker func(worker
 	if w > n {
 		w = n
 	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	errs := make([]error, n)
 
 	// Pool-level observability is volatile by nature — task durations and
@@ -130,12 +131,12 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, newWorker func(worker
 	o := obs.From(ctx)
 	var busy atomic.Int64
 	poolStart := time.Now()
-	run := func(body func(context.Context, int) error, i int) error {
+	run := func(bctx context.Context, body func(context.Context, int) error, i int) error {
 		if o == nil {
-			return runIsolated(cctx, body, i)
+			return runIsolated(bctx, body, i)
 		}
 		t0 := time.Now()
-		err := runIsolated(cctx, body, i)
+		err := runIsolated(bctx, body, i)
 		d := time.Since(t0).Nanoseconds()
 		busy.Add(d)
 		o.CountV("par.tasks", 1)
@@ -154,17 +155,44 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, newWorker func(worker
 
 	if w <= 1 {
 		body := newWorker(0)
-		for i := 0; i < n; i++ {
-			if cctx.Err() != nil {
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			if errs[i] = run(ctx, body, i); errs[i] != nil {
 				break
-			}
-			if err := run(body, i); err != nil {
-				errs[i] = err
-				cancel()
 			}
 		}
 		finishPool()
 		return pickError(ctx, errs)
+	}
+
+	// lowest is the lowest failing index so far (n while none failed);
+	// inflight holds the cancel functions of the running bodies by index.
+	var mu sync.Mutex
+	lowest := n
+	inflight := map[int]context.CancelFunc{}
+	begin := func(i int) (context.Context, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if i > lowest {
+			return nil, false
+		}
+		bctx, cancel := context.WithCancel(ctx)
+		inflight[i] = cancel
+		return bctx, true
+	}
+	end := func(i int, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		inflight[i]()
+		delete(inflight, i)
+		if err == nil || i >= lowest {
+			return
+		}
+		lowest = i
+		for j, cancel := range inflight {
+			if j > i {
+				cancel()
+			}
+		}
 	}
 
 	var next atomic.Int64
@@ -174,18 +202,17 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, newWorker func(worker
 		go func(worker int) {
 			defer wg.Done()
 			body := newWorker(worker)
-			for {
-				if cctx.Err() != nil {
-					return
-				}
+			for ctx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				if err := run(body, i); err != nil {
-					errs[i] = err
-					cancel()
+				bctx, ok := begin(i)
+				if !ok {
+					return
 				}
+				errs[i] = run(bctx, body, i)
+				end(i, errs[i])
 			}
 		}(k)
 	}

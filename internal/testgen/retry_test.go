@@ -28,7 +28,8 @@ int f(void) {
 // exhausts a (tiny) BDD node budget on a small input space, the driver
 // fails over to the explicit engine and still decides every path — with
 // the failover recorded in the attempt history, identically at every
-// worker count.
+// worker count. The path models are loop-free, so the starved engine is
+// the forward engine.
 func TestNodeBudgetFailsOverToExplicitEngine(t *testing.T) {
 	gen := setup(t, needleRangedSrc, "f")
 	targets := endToEndPaths(t, gen)

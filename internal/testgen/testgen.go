@@ -532,7 +532,7 @@ func (gen *Generator) GenerateCtx(ctx context.Context, targets []paths.Path, con
 			if vc != nil && conf.Optimise {
 				opt.All(low.Model)
 			}
-			q := mc.NewSymbolicQuery(low.Model, conf.MC)
+			q := mc.NewQuery(low.Model, conf.MC)
 			defer q.Close()
 			var res *mc.Result
 			var env interp.Env
@@ -741,7 +741,7 @@ func (gen *Generator) checkPathCtx(ctx context.Context, m *interp.Machine, p pat
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := mc.CheckSymbolicCtx(ctx, low.Model, conf.MC)
+	res, err := mc.CheckCtx(ctx, low.Model, conf.MC)
 	if err != nil {
 		return nil, nil, err
 	}

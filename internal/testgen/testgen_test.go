@@ -233,3 +233,24 @@ int f(void) {
 		t.Errorf("found = %d, want ≥ 2 with base state=7 (%s)", found, rep.Summary())
 	}
 }
+
+// TestNegativeGuardOnNarrowedInput is the regression for a mixed-signedness
+// comparison: range analysis narrows x in 0..100 to 7-bit unsigned, and the
+// guard x < -7 must stay infeasible instead of yielding the witness x = 69.
+func TestNegativeGuardOnNarrowedInput(t *testing.T) {
+	for _, typ := range []string{"char", "int"} {
+		gen := setup(t, "/*@ input */ /*@ range 0 100 */ "+typ+" x; char y;\n"+
+			"void f(void) { if (x < -7) { y = 1; } else { y = 2; } }\n", "f")
+		rep, err := gen.Generate(endToEndPaths(t, gen), Config{SkipGA: true, Optimise: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := map[Verdict]int{}
+		for _, r := range rep.Results {
+			counts[r.Verdict]++
+		}
+		if counts[Infeasible] != 1 || counts[FoundByModelChecker] != 1 {
+			t.Errorf("%s x in 0..100, guard x < -7: %s", typ, rep.Summary())
+		}
+	}
+}

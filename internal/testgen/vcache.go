@@ -124,9 +124,12 @@ func (gen *Generator) gaCacheKeys(vc *vcache.Store, keys []string, conf Config) 
 // run computes it without paying opt.All, and everything downstream of the
 // digested model (opt.All under conf.Optimise, the engine's own idempotent
 // re-slice) is a deterministic function of it — so equal keys mean equal
-// verdicts and equal statistics.
+// verdicts and equal statistics. The domain's version moves whenever the
+// engine behind a query changes what its statistics mean (v3: loop-free
+// queries are decided by the forward engine), so a store written by the
+// previous engine misses instead of serving its Steps and PeakNodes.
 func (gen *Generator) mcCacheKey(low *c2m.Result, conf Config) vcache.Key {
-	h := vcache.NewKey("wcet-vcache-mc-v2")
+	h := vcache.NewKey("wcet-vcache-mc-v3")
 	model := low.Model
 	model.WriteDigest(h.Writer())
 	// The structural digest excludes names, but cached environments are
