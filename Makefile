@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: help build test vet race check check-faults check-obs check-chaos check-symbolic check-cache check-dist check-live check-remote lint-prints bench bench-parallel bench-bdd bench-obs bench-journal bench-symbolic bench-cache bench-dist bench-live bench-remote clean
+.PHONY: help build test vet race check check-determinism check-faults check-obs check-chaos check-symbolic check-cache check-dist check-live check-remote lint-prints bench bench-parallel bench-bdd bench-obs bench-journal bench-symbolic bench-cache bench-dist bench-live bench-remote clean
 
 help:
 	@echo "make build         - compile all packages"
@@ -14,6 +14,7 @@ help:
 	@echo "make vet           - go vet"
 	@echo "make race          - test suite under the race detector"
 	@echo "make check         - build + vet + test + race + chaos (the full gate)"
+	@echo "make check-determinism - worker-count determinism suites under -race at 1, 2 and 4 CPUs"
 	@echo "make check-faults  - fault-injection & resilience suites under -race"
 	@echo "make check-obs     - observability determinism suites under -race"
 	@echo "make check-chaos   - durability suites & chaos soak (kill/resume) under -race"
@@ -46,7 +47,16 @@ vet:
 race:
 	$(GO) test -race ./...
 
-check: build vet test race check-chaos check-symbolic check-cache check-dist check-live check-remote
+check: build vet test race check-determinism check-chaos check-symbolic check-cache check-dist check-live check-remote
+
+# check-determinism re-runs the worker-count determinism suites — every
+# stage's and the whole pipeline's identical-across-workers tests — under
+# the race detector at one, two and four CPUs, so a schedule-dependent
+# result cannot hide behind a single-CPU machine.
+check-determinism:
+	$(GO) test -race -count 1 -cpu 1,2,4 -run 'Determinis|AcrossWorkers' \
+		./internal/testgen ./internal/measure ./internal/partition \
+		./internal/core ./internal/experiments
 
 # check-faults re-runs the resilience surface with the race detector on:
 # the fail/faults/par unit suites plus every stage's injected-fault,
@@ -70,16 +80,16 @@ check-obs:
 	$(GO) test -race -count 1 -run 'Observability|Deterministic' \
 		./internal/experiments
 
-# check-chaos drives the durability surface with the race detector on: the
-# journal/retry unit suites, the chaos soak harness (seed-driven kill+resume
-# campaigns with injected faults and torn writes), every stage's journal-
-# replay and retry tests, and the wiper kill/resume byte-identity
-# acceptance tests.
+# check-chaos drives the durability surface with the race detector on, at
+# one, two and four CPUs: the journal/retry unit suites, the chaos soak
+# harness (seed-driven kill+resume campaigns with injected faults and torn
+# writes), the generator's journal-replay and retry tests, measurement
+# retry, and the wiper kill/resume byte-identity acceptance tests.
 check-chaos:
-	$(GO) test -race -count 1 ./internal/journal ./internal/retry ./internal/chaos
-	$(GO) test -race -count 1 \
+	$(GO) test -race -count 1 -cpu 1,2,4 ./internal/journal ./internal/retry ./internal/chaos
+	$(GO) test -race -count 1 -cpu 1,2,4 \
 		-run 'Journal|Resume|Retr|Failover|Soak|Kill|Stall|Heal' \
-		./internal/testgen ./internal/measure ./internal/partition \
+		./internal/testgen ./internal/measure \
 		./internal/core ./internal/experiments
 
 # check-symbolic drives the symbolic engines' correctness surface under
@@ -98,30 +108,32 @@ check-symbolic:
 		./internal/mc ./internal/experiments ./internal/testgen
 
 # check-cache drives the incremental re-analysis surface under the race
-# detector: the vcache store's own suite (concurrent put/get included),
-# the generator's cache semantics tests (warm-run identity, cross-edit
-# hit survival, journal-beats-cache precedence, budget-keyed degraded
-# verdicts, OrderBook bypass, poisoned-env fail-closed), the journal
-# fingerprint regression and reflection field-coverage tests that pin
-# every option field into a fingerprint or an explicit exemption, and
-# the wiper warm-cache byte-identity acceptance test.
+# detector, at one, two and four CPUs: the vcache store's own suite
+# (concurrent put/get included), the generator's cache semantics tests
+# (warm-run identity, cross-edit hit survival, journal-beats-cache
+# precedence, budget-keyed degraded verdicts, OrderBook bypass,
+# poisoned-env fail-closed), the journal fingerprint regression and
+# reflection field-coverage tests that pin every option field into a
+# fingerprint or an explicit exemption, and the wiper warm-cache
+# byte-identity and event-count acceptance tests.
 check-cache:
-	$(GO) test -race -count 1 ./internal/vcache
-	$(GO) test -race -count 1 \
+	$(GO) test -race -count 1 -cpu 1,2,4 ./internal/vcache
+	$(GO) test -race -count 1 -cpu 1,2,4 \
 		-run 'VCache|Fingerprint|LeverFlip|WarmCache' \
 		./internal/testgen ./internal/journal ./internal/tsys \
 		./internal/core ./internal/experiments
 
-# check-dist drives the distributed work ledger under the race detector:
-# the ledger package's own suite (spec round-trip and option-surface
-# coverage, merge shuffle determinism, worker-death reclamation,
-# coordinator restart, repeated-death quarantine), the multi-process chaos
+# check-dist drives the distributed work ledger under the race detector,
+# at one, two and four CPUs: the ledger package's own suite (spec
+# round-trip and option-surface coverage, merge shuffle determinism,
+# worker-death reclamation, coordinator restart, repeated-death
+# quarantine, the two-round bound), the multi-process chaos
 # acceptance (real SIGKILLed worker processes, a SIGKILLed and restarted
 # coordinator, byte-identity against the single-process reference), and
 # the wcet CLI's distributed smoke tests including the exit-code contract.
 check-dist:
-	$(GO) test -race -count 1 ./internal/ledger ./cmd/wcet
-	$(GO) test -race -count 1 -run 'Dist' ./internal/chaos
+	$(GO) test -race -count 1 -cpu 1,2,4 ./internal/ledger ./cmd/wcet
+	$(GO) test -race -count 1 -cpu 1,2,4 -run 'Dist' ./internal/chaos
 
 # check-live drives the live-telemetry surface under the race detector:
 # the event bus / flight recorder / Prometheus / telemetry-sidecar suites

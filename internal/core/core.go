@@ -77,12 +77,14 @@ type Options struct {
 	// registry and trace. Deterministic exports (canonical snapshot and
 	// event stream) are byte-identical for every Workers value.
 	Obs *obs.Observer
-	// Journal, when set, makes the run durable: every completed unit of
-	// work (per-path generation verdict, per-vector measurement) is
+	// Journal, when set, makes the run durable: every completed
+	// generation unit (one GA search, one model-checker verdict) is
 	// appended to the journal as it finishes, and a later run over the same
 	// program and options resumes by replaying journaled units instead of
-	// recomputing them. The journal is bound to a fingerprint of (program,
-	// deterministic options) — a mismatch resets it and runs clean — and
+	// recomputing them. Measurement is not journaled — a simulator replay
+	// costs less than its journal append — so a resumed run re-measures.
+	// The journal is bound to a fingerprint of (program, the options
+	// generation depends on) — a mismatch resets it and runs clean — and
 	// the final Report is byte-identical (see Report.WriteCanonical)
 	// whether the analysis ran in one shot or was killed and resumed any
 	// number of times, at any worker count. nil disables journaling.
@@ -433,8 +435,7 @@ func AnalyzeGraphCtx(ctx context.Context, file *ast.File, fn *ast.FuncDecl, g *c
 	sp.End()
 	vm := sim.New(img, opt.SimOptions)
 	sp = o.Span("stage", "measure", "50/measure", "vectors", len(envs))
-	rep.Measurement, err = measure.CampaignTagged(ctx, "campaign", rep.Plan, vm, envs,
-		opt.Workers, tgConf.Retry)
+	rep.Measurement, err = measure.CampaignCtx(ctx, rep.Plan, vm, envs, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -455,8 +456,7 @@ func AnalyzeGraphCtx(ctx context.Context, file *ast.File, fn *ast.FuncDecl, g *c
 			return rep, nil
 		}
 		sp = o.Span("stage", "fallback", "60/fallback", "vectors", len(exhaustiveEnvs))
-		fallback, err := measure.CampaignTagged(ctx, "fallback", rep.Plan, vm, exhaustiveEnvs,
-			opt.Workers, tgConf.Retry)
+		fallback, err := measure.CampaignCtx(ctx, rep.Plan, vm, exhaustiveEnvs, opt.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -483,8 +483,7 @@ func AnalyzeGraphCtx(ctx context.Context, file *ast.File, fn *ast.FuncDecl, g *c
 	// 6. Optional exhaustive ground truth.
 	if opt.Exhaustive && enumerable {
 		sp = o.Span("stage", "exhaustive", "80/exhaustive", "vectors", len(exhaustiveEnvs))
-		exh, err := measure.ExhaustiveMaxTagged(ctx, "exhaustive", vm, exhaustiveEnvs,
-			opt.Workers, tgConf.Retry)
+		exh, err := measure.ExhaustiveMaxCtx(ctx, vm, exhaustiveEnvs, opt.Workers)
 		if err != nil {
 			return nil, err
 		}

@@ -49,11 +49,22 @@ var fingerprintCoverage = map[reflect.Type]map[string]fieldSpec{
 		"Bound":     {mutate: func(o *Options) { o.Bound++ }},
 		"TestGen":   {composite: true},
 		"MCTimeout": {mutate: func(o *Options) { o.MCTimeout += time.Second }},
-		"Exhaustive": {mutate: func(o *Options) {
-			o.Exhaustive = !o.Exhaustive
-		}},
-		"MaxExhaustive": {mutate: func(o *Options) { o.MaxExhaustive++ }},
-		"SimOptions":    {composite: true},
+		"Exhaustive": {
+			excluded: "the exhaustive sweep is measurement, recomputed on every run and never journaled",
+			mutate:   func(o *Options) { o.Exhaustive = !o.Exhaustive },
+		},
+		"MaxExhaustive": {
+			excluded: "caps the measured input space only; measurement is recomputed on every run and never journaled",
+			mutate:   func(o *Options) { o.MaxExhaustive++ },
+		},
+		"SimOptions": {
+			excluded: "no journaled unit runs the simulator: GA searches interpret, model checking reads the lowered model, and measurement is recomputed on every run",
+			mutate: func(o *Options) {
+				o.SimOptions.MaxInstructions++
+				o.SimOptions.Costs.BranchTaken++
+				o.SimOptions.Costs.Costs[isa.Op(200)] = 17
+			},
+		},
 		"Workers": {
 			excluded: "results are worker-count invariant by construction; a journal written under -workers 8 must resume under -workers 1",
 			mutate:   func(o *Options) { o.Workers++ },
@@ -110,17 +121,6 @@ var fingerprintCoverage = map[reflect.Type]map[string]fieldSpec{
 	reflect.TypeOf(retry.Policy{}): {
 		"MaxAttempts": {mutate: func(o *Options) { o.TestGen.Retry.MaxAttempts++ }},
 		"BackoffBase": {mutate: func(o *Options) { o.TestGen.Retry.BackoffBase++ }},
-	},
-	reflect.TypeOf(sim.Options{}): {
-		"MaxInstructions": {mutate: func(o *Options) { o.SimOptions.MaxInstructions++ }},
-		"Costs":           {composite: true, mutate: func(o *Options) { o.SimOptions.Costs = nil }},
-	},
-	reflect.TypeOf(isa.CostModel{}): {
-		"Costs":          {mutate: func(o *Options) { o.SimOptions.Costs.Costs[isa.Op(200)] = 17 }},
-		"BranchTaken":    {mutate: func(o *Options) { o.SimOptions.Costs.BranchTaken++ }},
-		"BranchNotTaken": {mutate: func(o *Options) { o.SimOptions.Costs.BranchNotTaken++ }},
-		"ExtCost":        {mutate: func(o *Options) { o.SimOptions.Costs.ExtCost[200] = 17 }},
-		"ExtDefault":     {mutate: func(o *Options) { o.SimOptions.Costs.ExtDefault++ }},
 	},
 }
 

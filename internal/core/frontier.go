@@ -12,22 +12,20 @@ import (
 	"wcet/internal/cc/ast"
 	"wcet/internal/cfg"
 	"wcet/internal/fail"
-	"wcet/internal/measure"
 	"wcet/internal/partition"
 	"wcet/internal/testgen"
 )
 
-// Frontier stages, in pipeline order. The frontier always names the first
-// stage with missing unit keys: a later stage's keys are not even
-// enumerable until the earlier stages' records exist (the campaign's
-// vector count depends on every generation verdict).
+// Frontier stages, in pipeline order. Only generation units are durable,
+// so only they can be leased: the frontier names the first generation
+// stage with missing unit keys (a model-checker key is not even
+// enumerable until every GA record exists, because the residue depends on
+// the coverage fold), and StageDone once both are journaled — measurement
+// then runs in process during the report assembly.
 const (
-	StageGA         = "ga"
-	StageMC         = "mc"
-	StageCampaign   = "campaign"
-	StageFallback   = "fallback"
-	StageExhaustive = "exhaustive"
-	StageDone       = "done"
+	StageGA   = "ga"
+	StageMC   = "mc"
+	StageDone = "done"
 )
 
 // Frontier is the distributed run's current work front.
@@ -70,32 +68,12 @@ func FrontierOf(file *ast.File, fn *ast.FuncDecl, g *cfg.Graph, opt Options) (*F
 	if err != nil {
 		return nil, err
 	}
-	gen := testgen.New(file, fn, g)
-	prog := gen.Progress(j, targets, tgConf)
-	if len(prog.MissingGA) > 0 {
+	prog := testgen.New(file, fn, g).Progress(j, targets, tgConf)
+	switch {
+	case len(prog.MissingGA) > 0:
 		return &Frontier{Stage: StageGA, Keys: prog.MissingGA}, nil
-	}
-	if len(prog.MissingMC) > 0 {
+	case len(prog.MissingMC) > 0:
 		return &Frontier{Stage: StageMC, Keys: prog.MissingMC}, nil
-	}
-	if keys := measure.MissingKeys(j, "campaign", len(prog.Envs)); len(keys) > 0 {
-		return &Frontier{Stage: StageCampaign, Keys: keys}, nil
-	}
-	exhaustiveEnvs, enumerable := enumerateAll(gen, tgConf.Base, opt.MaxExhaustive)
-	if prog.Unknown {
-		if !enumerable {
-			// Unavailable bound: the pipeline stops right after the campaign,
-			// so there is nothing left to distribute.
-			return &Frontier{Stage: StageDone}, nil
-		}
-		if keys := measure.MissingKeys(j, "fallback", len(exhaustiveEnvs)); len(keys) > 0 {
-			return &Frontier{Stage: StageFallback, Keys: keys}, nil
-		}
-	}
-	if opt.Exhaustive && enumerable {
-		if keys := measure.MissingKeys(j, "exhaustive", len(exhaustiveEnvs)); len(keys) > 0 {
-			return &Frontier{Stage: StageExhaustive, Keys: keys}, nil
-		}
 	}
 	return &Frontier{Stage: StageDone}, nil
 }

@@ -11,24 +11,23 @@ import (
 
 	"wcet/internal/cc/ast"
 	"wcet/internal/cfg"
-	"wcet/internal/isa"
 	"wcet/internal/testgen"
 )
 
 // fingerprint digests everything a journaled unit's outcome is a function
 // of: the program (canonically printed), the analysed function, and every
-// deterministic option — partition bound, generator configuration (GA
-// scalars, model-checker budgets and symbolic-engine levers, base
-// environment, retry policy, failover cap), exhaustive settings and the
-// full simulator cost model. Workers is deliberately excluded: results are
-// worker-count invariant by construction, so a run started with -workers 8
-// may resume with -workers 1 and vice versa. Function fields (Stop,
-// OnTrace, Obs) are excluded for the same reason they are banned from
-// reports: they carry no deterministic identity. An attached mc.OrderBook
-// is digested by presence only — its learned contents are mutable
-// in-process state that cannot define a stable identity, but a run with a
-// book must never splice with one without (learned orders change node
-// statistics).
+// option a GA search or model-checker verdict depends on — partition bound
+// (it decides the targets), generator configuration (GA scalars,
+// model-checker budgets and symbolic-engine levers, base environment,
+// retry policy, failover cap) and the per-call model-checker timeout.
+// Workers is deliberately excluded: results are worker-count invariant by
+// construction, so a run started with -workers 8 may resume with
+// -workers 1 and vice versa. Function fields (Stop, OnTrace, Obs) are
+// excluded for the same reason they are banned from reports: they carry no
+// deterministic identity. An attached mc.OrderBook is digested by presence
+// only — its learned contents are mutable in-process state that cannot
+// define a stable identity, but a run with a book must never splice with
+// one without (learned orders change node statistics).
 //
 // Version history: v1 omitted the symbolic levers (NoSlice/NoReorder/
 // NoPool), the base environment, the order-book presence and the cost
@@ -38,15 +37,17 @@ import (
 // coverage test (fingerprint_coverage_test.go) keeps it closed. v3 marks
 // the switch of loop-free path queries to the forward engine: a journal
 // written under reachability carries that engine's Steps and PeakNodes,
-// so it resets instead of splicing them into a forward-engine report.
+// so it resets instead of splicing them into a forward-engine report. v4
+// journals generation units only: measurement is recomputed on every run,
+// so the exhaustive settings and the simulator's cost model left the
+// identity, and a journal now resumes across them.
 func fingerprint(file *ast.File, fn *ast.FuncDecl, g *cfg.Graph, opt Options, tg testgen.Config) string {
 	h := fnv.New64a()
 	put := func(format string, args ...any) { fmt.Fprintf(h, format, args...) }
-	put("wcet-journal-v3\x00")
+	put("wcet-journal-v4\x00")
 	io.WriteString(h, ast.Print(file))
 	put("\x00fn=%s blocks=%d\x00", fn.Name, g.NumNodes())
-	put("bound=%d exhaustive=%v maxexh=%d mctimeout=%d\x00",
-		opt.Bound, opt.Exhaustive, opt.MaxExhaustive, opt.MCTimeout)
+	put("bound=%d mctimeout=%d\x00", opt.Bound, opt.MCTimeout)
 	put("ga seed=%d pop=%d gens=%d stag=%d mut=%g cross=%g tour=%d maxeval=%d\x00",
 		tg.GA.Seed, tg.GA.Pop, tg.GA.MaxGens, tg.GA.Stagnation,
 		tg.GA.MutRate, tg.GA.CrossRate, tg.GA.Tournament, tg.GA.MaxEvaluations)
@@ -70,25 +71,5 @@ func fingerprint(file *ast.File, fn *ast.FuncDecl, g *cfg.Graph, opt Options, tg
 		put("%s=%d\x00", n, vals[n])
 	}
 	put("retry attempts=%d backoff=%d\x00", tg.Retry.MaxAttempts, tg.Retry.BackoffBase)
-	put("sim maxinstr=%d costs=%v\x00", opt.SimOptions.MaxInstructions, opt.SimOptions.Costs != nil)
-	if c := opt.SimOptions.Costs; c != nil {
-		put("taken=%d nottaken=%d extdefault=%d\x00", c.BranchTaken, c.BranchNotTaken, c.ExtDefault)
-		ops := make([]int, 0, len(c.Costs))
-		for op := range c.Costs {
-			ops = append(ops, int(op))
-		}
-		sort.Ints(ops)
-		for _, op := range ops {
-			put("op%d=%d\x00", op, c.Costs[isa.Op(op)])
-		}
-		exts := make([]int, 0, len(c.ExtCost))
-		for id := range c.ExtCost {
-			exts = append(exts, id)
-		}
-		sort.Ints(exts)
-		for _, id := range exts {
-			put("ext%d=%d\x00", id, c.ExtCost[id])
-		}
-	}
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -14,7 +14,6 @@ import (
 	"wcet/internal/cc/ast"
 	"wcet/internal/cfg"
 	"wcet/internal/journal"
-	"wcet/internal/measure"
 	"wcet/internal/obs"
 	"wcet/internal/partition"
 	"wcet/internal/testgen"
@@ -65,34 +64,6 @@ func StatusFromRecords(file *ast.File, fn *ast.FuncDecl, g *cfg.Graph, opt Optio
 	if len(prog.MissingMC) > 0 {
 		st.Deterministic.Stage = StageMC
 		return st, nil
-	}
-	campaignMissing := measure.MissingKeys(j, "campaign", len(prog.Envs))
-	addStage(StageCampaign, len(prog.Envs)-len(campaignMissing), len(prog.Envs))
-	if len(campaignMissing) > 0 {
-		st.Deterministic.Stage = StageCampaign
-		return st, nil
-	}
-	exhaustiveEnvs, enumerable := enumerateAll(gen, tgConf.Base, opt.MaxExhaustive)
-	if prog.Unknown {
-		if !enumerable {
-			// Unavailable bound: nothing past the campaign can run.
-			st.Deterministic.Stage = StageDone
-			return st, nil
-		}
-		missing := measure.MissingKeys(j, "fallback", len(exhaustiveEnvs))
-		addStage(StageFallback, len(exhaustiveEnvs)-len(missing), len(exhaustiveEnvs))
-		if len(missing) > 0 {
-			st.Deterministic.Stage = StageFallback
-			return st, nil
-		}
-	}
-	if opt.Exhaustive && enumerable {
-		missing := measure.MissingKeys(j, "exhaustive", len(exhaustiveEnvs))
-		addStage(StageExhaustive, len(exhaustiveEnvs)-len(missing), len(exhaustiveEnvs))
-		if len(missing) > 0 {
-			st.Deterministic.Stage = StageExhaustive
-			return st, nil
-		}
 	}
 	st.Deterministic.Stage = StageDone
 	return st, nil

@@ -5,12 +5,16 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"wcet/internal/core"
 	"wcet/internal/fail"
 	"wcet/internal/faults"
+	"wcet/internal/isa"
 	"wcet/internal/journal"
+	"wcet/internal/sim"
+	"wcet/internal/testgen"
 )
 
 // Durability acceptance on the wiper case study: an analysis SIGKILLed at
@@ -159,6 +163,80 @@ func TestWiperJournalOptionsMismatchRerunsClean(t *testing.T) {
 	}
 	if got, want := canonicalBytes(t, second), canonicalBytes(t, clean); !bytes.Equal(got, want) {
 		t.Errorf("re-run after fingerprint mismatch diverged:\n--- clean\n%s\n--- re-run\n%s", want, got)
+	}
+}
+
+// TestWiperJournalHoldsOnlyGenerationUnits: only GA searches and
+// model-checker verdicts are durable. A completed journaled -exhaustive
+// run holds one "ga/" record per target and one "tg/" record per residue
+// path, and nothing else — measurement and the exhaustive sweep are
+// recomputed on resume, never journaled.
+func TestWiperJournalHoldsOnlyGenerationUnits(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "run.journal")
+	rep, err := runJournaled(t, 2, jpath, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, _, err := journal.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, r := range rep.TestGen.Results {
+		want++ // its GA search
+		if r.Verdict != testgen.FoundByHeuristic {
+			want++ // its model-checker verdict
+		}
+	}
+	for k := range records {
+		if !strings.HasPrefix(k, "ga/") && !strings.HasPrefix(k, "tg/") {
+			t.Errorf("journal holds non-generation record %q", k)
+		}
+	}
+	if len(records) != want {
+		t.Errorf("journal holds %d records, want %d (one per GA search and residue verdict)",
+			len(records), want)
+	}
+}
+
+// TestWiperJournalResumesAcrossCostModels: no journaled unit depends on
+// the simulator, so the fingerprint leaves the cost model out. A journal
+// written under one cycle model resumes under another, and the resumed
+// report is byte-identical to a clean run under the new model.
+func TestWiperJournalResumesAcrossCostModels(t *testing.T) {
+	file, fn, g := wiperGraph(t)
+	slow := isa.DefaultCosts()
+	slow.BranchTaken += 2
+	slow.Costs[isa.LD]++
+	optsFor := func(costs *isa.CostModel, j *journal.Journal) core.Options {
+		return core.Options{Bound: 8, Exhaustive: true, TestGen: wiperTestGenConfig(1),
+			SimOptions: sim.Options{Costs: costs}, Journal: j}
+	}
+	clean, err := core.AnalyzeGraphCtx(context.Background(), file, fn, g, optsFor(slow, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jpath := filepath.Join(t.TempDir(), "run.journal")
+	for _, costs := range []*isa.CostModel{nil, slow} {
+		j, err := journal.Open(jpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := core.AnalyzeGraphCtx(context.Background(), file, fn, g, optsFor(costs, j))
+		j.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if costs == nil {
+			continue
+		}
+		if rep.ResumedUnits == 0 {
+			t.Error("journal written under the default cost model did not resume under another")
+		}
+		if got, want := canonicalBytes(t, rep), canonicalBytes(t, clean); !bytes.Equal(got, want) {
+			t.Errorf("resumed report differs from a clean run under the same cost model:\n--- clean\n%s\n--- resumed\n%s",
+				want, got)
+		}
 	}
 }
 

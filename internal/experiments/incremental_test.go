@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"wcet/internal/core"
+	"wcet/internal/obs"
 	"wcet/internal/vcache"
 )
 
@@ -64,5 +65,57 @@ func TestWiperWarmCacheByteIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatalf("warm hit count depends on workers: %d vs %d", hits, warm.CachedUnits)
 		}
 		hits = warm.CachedUnits
+	}
+}
+
+// TestWiperWarmCacheEmitsOneGACompletionPerTarget: every GA search emits
+// exactly one unit.completed event on the bus, whether it was computed,
+// skipped, replayed from a journal or served from the cache — so a warm
+// run's /events stream counts its GA units like a cold run's.
+func TestWiperWarmCacheEmitsOneGACompletionPerTarget(t *testing.T) {
+	vc, err := vcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	runCached(t, 2, vc)
+
+	file, fn, g := wiperGraph(t)
+	o := obs.New(obs.Config{})
+	sub := o.Subscribe(1 << 14)
+	defer sub.Close()
+	warm, err := core.AnalyzeGraphCtx(context.Background(), file, fn, g, core.Options{
+		Bound:      8,
+		Exhaustive: true,
+		Workers:    2,
+		TestGen:    wiperTestGenConfig(2),
+		Cache:      vc,
+		Obs:        o,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.CachedUnits == 0 {
+		t.Fatal("warm run replayed nothing")
+	}
+	completions := map[string]int{}
+	for {
+		ev, ok := sub.TryNext()
+		if !ok {
+			break
+		}
+		if ev.Kind == obs.EvUnitCompleted && ev.Stage == "ga" {
+			completions[ev.Unit]++
+		}
+	}
+	if sub.Dropped() != 0 {
+		t.Fatalf("subscriber dropped %d events; the count below is incomplete", sub.Dropped())
+	}
+	for _, r := range warm.TestGen.Results {
+		if n := completions["ga/"+r.Path.Key()]; n != 1 {
+			t.Errorf("target %s: %d ga completion event(s), want 1", r.Path.Key(), n)
+		}
+	}
+	if len(completions) != len(warm.TestGen.Results) {
+		t.Errorf("%d GA units completed, want one per target (%d)", len(completions), len(warm.TestGen.Results))
 	}
 }

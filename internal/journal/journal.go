@@ -19,8 +19,8 @@
 //
 // # Content addressing
 //
-// Records are keyed by logical unit identity (a target path key, a
-// campaign-tagged vector index, a sweep bound), never by position: replays
+// Records are keyed by logical unit identity ("ga/" or "tg/" plus a
+// target path key), never by position: replays
 // load records into a map and duplicate appends of a key are idempotent —
 // the first intact record wins, which is safe because every journaled unit
 // is a pure function of (program, options fingerprint, key). The

@@ -3,6 +3,7 @@ package journal
 import (
 	"fmt"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -25,8 +26,17 @@ func TestReadFileConcurrentWithAppends(t *testing.T) {
 	const total = 400
 	var written atomic.Int64
 	done := make(chan error, 1)
+	// The writer holds its second half back until the reader has taken a
+	// snapshot, so at least one snapshot overlaps the writes however the
+	// two goroutines are scheduled.
+	snapped := make(chan struct{})
+	var snapOnce sync.Once
+	defer snapOnce.Do(func() { close(snapped) })
 	go func() {
 		for i := 0; i < total; i++ {
+			if i == total/2 {
+				<-snapped
+			}
 			if err := j.Put(fmt.Sprintf("tg/unit-%04d", i), []byte(fmt.Sprintf("value-%d", i))); err != nil {
 				done <- err
 				return
@@ -62,6 +72,7 @@ func TestReadFileConcurrentWithAppends(t *testing.T) {
 			t.Fatalf("mid-write ReadFile: %v", err)
 		}
 		snapshots++
+		snapOnce.Do(func() { close(snapped) })
 		if len(recs) > 0 && fp != "fp-live" {
 			t.Fatalf("fingerprint = %q mid-write", fp)
 		}

@@ -136,9 +136,7 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 
 		// Quarantine pass: a unit that was leased and incomplete across
 		// MaxFatalities worker deaths is taken out of circulation with a
-		// fabricated degraded record — for generation units. A measurement
-		// unit cannot be dropped (its vector's cycle count is part of the
-		// maxima), so it fails the run instead.
+		// fabricated degraded record.
 		for _, k := range sortedKeys(fatal) {
 			if fatal[k] < cfg.MaxFatalities || j.Has(k) {
 				continue
@@ -149,7 +147,7 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 			err := testgen.Quarantine(j, k, reason, flight)
 			j.SetSync(false)
 			if err != nil {
-				return nil, fmt.Errorf("ledger: unit %q killed its worker %d time(s) and %w", k, fatal[k], err)
+				return nil, fmt.Errorf("ledger: quarantining %q: %w", k, err)
 			}
 			res.Quarantined = append(res.Quarantined, k)
 			cfg.Obs.CountV("ledger.units_quarantined", 1)
@@ -164,9 +162,9 @@ func Run(ctx context.Context, spec Spec, cfg Config) (*Result, error) {
 		}
 	}
 
-	// Assembly: the canonical journal now holds every record the pipeline
-	// needs, so this is a pure replay — byte-identical to a single-process
-	// run over the same record set.
+	// Assembly: the canonical journal now holds every generation record,
+	// so generation is a pure replay and measurement runs here, in process
+	// — byte-identical to a single-process run over the same record set.
 	opt.Journal = j
 	opt.Obs = cfg.Obs
 	rep, err := core.AnalyzeGraphCtx(ctx, file, fn, g, opt)

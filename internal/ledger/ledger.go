@@ -8,8 +8,8 @@
 // The coordinator owns the canonical run journal (exclusively — the
 // journal's advisory file lock makes a second writer impossible). Each
 // round it computes the pipeline's work frontier (core.FrontierOf): the
-// first stage with unresolved unit keys — GA searches, model-checker
-// verdicts, measurement vectors — exactly the keys the stages journal.
+// first stage with unresolved unit keys — GA searches ("ga"), then
+// model-checker verdicts ("mc") — exactly the keys the stages journal.
 // It shards those keys across worker processes, seeding each worker's
 // private journal with a copy of the canonical records so prior stages
 // replay instead of recomputing, and hands each shard out under a lease.
@@ -17,8 +17,11 @@
 // keys (journal.Scope) and exit when every owned unit has a durable
 // record. The coordinator merges completed records back into the
 // canonical journal — first write wins, fsync on — and iterates until the
-// frontier is empty, then assembles the report by replaying the canonical
-// journal in process.
+// frontier is empty, then assembles the report in process: generation
+// replays from the canonical journal, measurement runs on the simulator.
+// Only generation units are journaled — a simulator replay costs less
+// than the append that would record it — so a run whose workers all
+// survive finishes in at most two rounds.
 //
 // # Determinism
 //
@@ -45,11 +48,9 @@
 // verdicts journal as results, so they are never re-attempted). Every
 // worker death marks its incomplete units suspect; suspects are re-leased
 // solo so a repeat death attributes unambiguously, and a unit that kills
-// its worker Config.MaxFatalities times is quarantined: generation units
-// get a fabricated degraded record (testgen.Quarantine) that lands the
-// path in the report's degradation ledger as unavailable, while
-// measurement units fail the run — dropping a measured vector would
-// silently lower maxima, which is unsound. The coordinator itself is
+// its worker Config.MaxFatalities times is quarantined: it gets a
+// fabricated degraded record (testgen.Quarantine) that lands the path in
+// the report's degradation ledger as unavailable. The coordinator itself is
 // crash-safe: killing and restarting it re-opens the canonical journal,
 // harvests any leftover worker journals (fingerprint-checked), and
 // resumes from the frontier exactly like a single-process -resume.

@@ -11,8 +11,11 @@ import (
 	"time"
 
 	"wcet/internal/core"
+	"wcet/internal/ga"
 	"wcet/internal/journal"
 	"wcet/internal/ledger"
+	"wcet/internal/model"
+	"wcet/internal/testgen"
 )
 
 func distConfig(dir string) ledger.Config {
@@ -235,4 +238,35 @@ func cause(d core.Degradation) string {
 		return ""
 	}
 	return d.Cause.Error()
+}
+
+// TestDistributedExhaustiveRunTakesTwoRounds: only generation units are
+// leased, so a healthy distributed -exhaustive run of the wiper — whose GA
+// leaves a model-checker residue — needs one GA round and one MC round;
+// the campaign and the exhaustive sweep run in the final assembly.
+func TestDistributedExhaustiveRunTakesTwoRounds(t *testing.T) {
+	spec, err := ledger.SpecFor(model.Wiper().Emit("wiper_control"), core.Options{
+		Bound:      8,
+		Exhaustive: true,
+		Workers:    1,
+		TestGen: testgen.Config{
+			GA: ga.Config{Seed: 2005, Pop: 48, MaxGens: 80, Stagnation: 20},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ledger.Run(context.Background(), spec, distConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report.ExhaustiveWCET < 0 {
+		t.Fatal("the exhaustive sweep did not run")
+	}
+	if res.Report.InfeasiblePaths == 0 {
+		t.Fatal("no model-checker residue: the run exercised only the GA round")
+	}
+	if res.Rounds > 2 {
+		t.Errorf("distributed run took %d rounds, want at most 2 (GA, then model checking)", res.Rounds)
+	}
 }

@@ -65,6 +65,11 @@ func canonicalBytes(t *testing.T, rep *core.Report) []byte {
 // distributed test compares against, returning its canonical report bytes
 // and the journal's record set.
 func referenceRun(t *testing.T, dir string) ([]byte, map[string][]byte, string) {
+	return referenceRunWith(t, dir, stepOptions())
+}
+
+// referenceRunWith is referenceRun under explicit options.
+func referenceRunWith(t *testing.T, dir string, opt core.Options) ([]byte, map[string][]byte, string) {
 	t.Helper()
 	file, fn, g, err := core.Frontend(stepSrc, "step")
 	if err != nil {
@@ -75,7 +80,6 @@ func referenceRun(t *testing.T, dir string) ([]byte, map[string][]byte, string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := stepOptions()
 	opt.Journal = j
 	rep, err := core.AnalyzeGraphCtx(context.Background(), file, fn, g, opt)
 	if err != nil {
@@ -101,7 +105,12 @@ func referenceRun(t *testing.T, dir string) ([]byte, map[string][]byte, string) 
 // because records are content-addressed and pure.
 func TestMergeShuffleDeterminism(t *testing.T) {
 	dir := t.TempDir()
-	wantReport, records, fp := referenceRun(t, dir)
+	// Only generation units are journaled, and at bound 8 the step function
+	// is one segment of four paths — four records. Bound 2 splits it into
+	// eleven targets, enough for the overlapping three-way split.
+	mergeOpt := stepOptions()
+	mergeOpt.Bound = 2
+	wantReport, records, fp := referenceRunWith(t, dir, mergeOpt)
 	keys := make([]string, 0, len(records))
 	for k := range records {
 		keys = append(keys, k)
@@ -185,7 +194,7 @@ func TestMergeShuffleDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := stepOptions()
+		opt := mergeOpt
 		opt.Journal = j
 		rep, err := core.AnalyzeGraphCtx(context.Background(), file, fn, g, opt)
 		j.Close()

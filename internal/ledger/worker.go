@@ -127,9 +127,10 @@ func RunWorker(ctx context.Context, assignmentPath string, w WorkerOptions) erro
 			})
 		}
 		writeTelem()
-		stop := make(chan struct{})
+		stop, stopped := make(chan struct{}), make(chan struct{})
 		ticker := time.NewTicker(interval)
 		go func() {
+			defer close(stopped)
 			defer ticker.Stop()
 			for {
 				select {
@@ -141,7 +142,9 @@ func RunWorker(ctx context.Context, assignmentPath string, w WorkerOptions) erro
 			}
 		}()
 		defer func() {
+			// The final snapshot must not race a tick still in flight.
 			close(stop)
+			<-stopped
 			writeTelem()
 		}()
 	}

@@ -10,49 +10,18 @@ package measure
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"wcet/internal/cc/ast"
 	"wcet/internal/cfg"
 	"wcet/internal/fail"
 	"wcet/internal/faults"
 	"wcet/internal/interp"
-	"wcet/internal/journal"
 	"wcet/internal/obs"
 	"wcet/internal/par"
 	"wcet/internal/partition"
 	"wcet/internal/retry"
 	"wcet/internal/sim"
 )
-
-// traceRecord is the journaled form of one simulator replay: the block
-// events and total that Observe folds, nothing more. Replaying a record
-// reproduces the identical accumulator contribution without touching the
-// simulator.
-type traceRecord struct {
-	Events []sim.BlockEvent
-	Total  int64
-}
-
-// measKey addresses one vector of a tagged campaign in the run journal.
-func measKey(tag string, i int) string { return "meas/" + tag + "/" + strconv.Itoa(i) }
-
-// Key exposes the journal key of one tagged campaign vector — the unit
-// identity the distributed ledger leases out.
-func Key(tag string, i int) string { return measKey(tag, i) }
-
-// MissingKeys lists the journal keys of the campaign's un-replayed vectors
-// in vector order, using non-hit-counting reads — the distributed
-// coordinator's frontier probe for a measurement stage over n vectors.
-func MissingKeys(j *journal.Journal, tag string, n int) []string {
-	var missing []string
-	for i := 0; i < n; i++ {
-		if !j.Has(measKey(tag, i)) {
-			missing = append(missing, measKey(tag, i))
-		}
-	}
-	return missing
-}
 
 // UnitTime aggregates observations for one plan unit.
 type UnitTime struct {
@@ -104,69 +73,62 @@ func Campaign(plan *partition.Plan, vm *sim.VM, data []interp.Env, workers ...in
 
 // CampaignCtx is Campaign under a context: cancellation stops the replays
 // cooperatively (fail.ErrCancelled; an expired deadline maps to
-// fail.ErrBudgetExceeded), a faulting simulator run surfaces exactly one
-// attributed error — deterministically the lowest-indexed failing vector —
-// and a panicking replay worker is isolated into fail.ErrWorkerPanic. The
-// pool joins every worker before returning, so a failed campaign leaks no
-// goroutines.
+// fail.ErrBudgetExceeded), a transient per-vector failure retries under
+// the default retry policy, a vector that exhausts its attempts surfaces
+// exactly one attributed error — deterministically the lowest-indexed
+// failing vector — and a panicking replay worker is isolated into
+// fail.ErrWorkerPanic. The pool joins every worker before returning, so a
+// failed campaign leaks no goroutines.
+//
+// Nothing is journaled: one replay costs microseconds, less than the
+// journal append that would record it, so a resumed analysis simply
+// measures again.
 func CampaignCtx(ctx context.Context, plan *partition.Plan, vm *sim.VM, data []interp.Env, workers int) (*Result, error) {
-	return CampaignTagged(ctx, "", plan, vm, data, workers, retry.Policy{})
-}
-
-// CampaignTagged is CampaignCtx with durability: a non-empty tag names the
-// campaign in the run journal ("meas/<tag>/<vector>"), so each finished
-// replay is one durable unit — an interrupted campaign resumes by folding
-// journaled traces instead of re-running the simulator, with identical
-// accumulator contributions and metrics. Transient per-vector failures
-// retry under pol; a vector that exhausts its attempts fails the campaign
-// with the same lowest-index-wins attribution as before.
-func CampaignTagged(ctx context.Context, tag string, plan *partition.Plan, vm *sim.VM,
-	data []interp.Env, workers int, pol retry.Policy) (*Result, error) {
-
 	// The campaign-entry site exists so tests can stall or fail the stage
 	// as a whole (index 0), not just individual replays.
 	if ferr := faults.Fire(ctx, "measure.campaign", 0); ferr != nil {
 		return nil, fail.Attribute(fail.From("measure", ferr), "measure", "")
 	}
-	w := par.Workers(workers)
 	o := obs.From(ctx)
-	j := journal.From(ctx)
-	scope := journal.ScopeFrom(ctx)
-	accs := make([]*Result, w)
-	err := par.ForEachWorkerCtx(ctx, len(data), w, func(worker int) func(context.Context, int) error {
-		wvm := vm.Clone()
+	accs := make([]*Result, par.Workers(workers))
+	err := replay(ctx, "measure.run", vm, data, len(accs), func(worker int) func(*sim.Trace) {
 		acc := newResult(plan)
 		accs[worker] = acc
 		ow := o.Worker(worker)
+		return func(tr *sim.Trace) {
+			acc.Runs++
+			acc.Observe(tr)
+			// The vector set and each run's cycle count are deterministic;
+			// histogram buckets fold commutatively across workers.
+			ow.Count("measure.runs", 1)
+			ow.Hist("measure.cycles", tr.Total)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := newResult(plan)
+	for _, acc := range accs {
+		if acc != nil {
+			res.merge(acc)
+		}
+	}
+	return res, nil
+}
+
+// replay is the replay loop Campaign and ExhaustiveMax share: every vector
+// runs on a worker-private simulator clone, each attempt behind the fault
+// site, and its trace goes to the fold the worker's setup returned.
+func replay(ctx context.Context, site string, vm *sim.VM, data []interp.Env, workers int,
+	fold func(worker int) func(*sim.Trace)) error {
+
+	err := par.ForEachWorkerCtx(ctx, len(data), workers, func(worker int) func(context.Context, int) error {
+		wvm := vm.Clone()
+		observe := fold(worker)
 		return func(ctx context.Context, i int) error {
-			observe := func(tr *sim.Trace) {
-				acc.Runs++
-				acc.Observe(tr)
-				// The vector set and each run's cycle count are deterministic;
-				// histogram buckets fold commutatively across workers.
-				ow.Count("measure.runs", 1)
-				ow.Hist("measure.cycles", tr.Total)
-			}
-			if tag != "" {
-				var rec traceRecord
-				if j.GetJSON(measKey(tag, i), &rec) {
-					observe(&sim.Trace{Events: rec.Events, Total: rec.Total})
-					o.Count("measure.journal.replayed", 1)
-					ow.Emit(obs.BusEvent{Kind: obs.EvUnitCompleted, Stage: "measure/" + tag,
-						Unit: measKey(tag, i), Detail: "replayed"})
-					return nil
-				}
-				if !scope.Owns(measKey(tag, i)) {
-					// A sibling worker's vector: its trace reaches this run, if
-					// at all, only as a merged journal record. The local
-					// accumulator is incomplete, which only matters to reports
-					// assembled here — and a scoped worker's report is discarded.
-					return nil
-				}
-			}
 			var tr *sim.Trace
-			_, err := retry.Do(ctx, pol, func(attempt int) error {
-				if ferr := faults.Fire(ctx, "measure.run", i); ferr != nil {
+			_, err := retry.Do(ctx, retry.Policy{}, func(int) error {
+				if ferr := faults.Fire(ctx, site, i); ferr != nil {
 					return fail.Attribute(fail.From("measure", ferr), "measure", vectorPath(i))
 				}
 				var rerr error
@@ -180,25 +142,14 @@ func CampaignTagged(ctx context.Context, tag string, plan *partition.Plan, vm *s
 			if err != nil {
 				return err
 			}
-			if tag != "" {
-				_ = j.PutJSON(measKey(tag, i), &traceRecord{Events: tr.Events, Total: tr.Total})
-				ow.Emit(obs.BusEvent{Kind: obs.EvUnitCompleted, Stage: "measure/" + tag,
-					Unit: measKey(tag, i), Detail: fmt.Sprintf("cycles=%d", tr.Total)})
-			}
 			observe(tr)
 			return nil
 		}
 	})
 	if err != nil {
-		return nil, fail.Attribute(err, "measure", "")
+		return fail.Attribute(err, "measure", "")
 	}
-	res := newResult(plan)
-	for _, acc := range accs {
-		if acc != nil {
-			res.merge(acc)
-		}
-	}
-	return res, nil
+	return nil
 }
 
 // vectorPath renders the ledger attribution of one test vector.
@@ -309,76 +260,26 @@ func ExhaustiveMax(vm *sim.VM, data []interp.Env, workers ...int) (int64, error)
 }
 
 // ExhaustiveMaxCtx is ExhaustiveMax under a context, with the same
-// cancellation, attribution and panic-isolation contract as CampaignCtx.
+// cancellation, retry, attribution and panic-isolation contract as
+// CampaignCtx.
 func ExhaustiveMaxCtx(ctx context.Context, vm *sim.VM, data []interp.Env, workers int) (int64, error) {
-	return ExhaustiveMaxTagged(ctx, "", vm, data, workers, retry.Policy{})
-}
-
-// ExhaustiveMaxTagged is ExhaustiveMaxCtx with durability and retry, the
-// exhaustive-sweep counterpart of CampaignTagged. Only each run's total is
-// journaled — the end-to-end maximum needs nothing else.
-func ExhaustiveMaxTagged(ctx context.Context, tag string, vm *sim.VM,
-	data []interp.Env, workers int, pol retry.Policy) (int64, error) {
-
-	w := par.Workers(workers)
 	o := obs.From(ctx)
-	j := journal.From(ctx)
-	scope := journal.ScopeFrom(ctx)
-	maxes := make([]int64, w)
+	maxes := make([]int64, par.Workers(workers))
 	for i := range maxes {
 		maxes[i] = -1
 	}
-	err := par.ForEachWorkerCtx(ctx, len(data), w, func(worker int) func(context.Context, int) error {
-		wvm := vm.Clone()
+	err := replay(ctx, "measure.exhaustive", vm, data, len(maxes), func(worker int) func(*sim.Trace) {
 		ow := o.Worker(worker)
-		return func(ctx context.Context, i int) error {
-			observe := func(total int64) {
-				if total > maxes[worker] {
-					maxes[worker] = total
-				}
-				ow.Count("measure.exhaustive.runs", 1)
-				ow.Hist("measure.exhaustive.cycles", total)
+		return func(tr *sim.Trace) {
+			if tr.Total > maxes[worker] {
+				maxes[worker] = tr.Total
 			}
-			if tag != "" {
-				var total int64
-				if j.GetJSON(measKey(tag, i), &total) {
-					observe(total)
-					o.Count("measure.journal.replayed", 1)
-					ow.Emit(obs.BusEvent{Kind: obs.EvUnitCompleted, Stage: "measure/" + tag,
-						Unit: measKey(tag, i), Detail: "replayed"})
-					return nil
-				}
-				if !scope.Owns(measKey(tag, i)) {
-					return nil
-				}
-			}
-			var tr *sim.Trace
-			_, err := retry.Do(ctx, pol, func(attempt int) error {
-				if ferr := faults.Fire(ctx, "measure.exhaustive", i); ferr != nil {
-					return fail.Attribute(fail.From("measure", ferr), "measure", vectorPath(i))
-				}
-				var rerr error
-				tr, rerr = wvm.Run(data[i].Clone())
-				if rerr != nil {
-					return fail.Attribute(fail.Infra("measure", fmt.Errorf("run failed: %w", rerr)),
-						"measure", vectorPath(i))
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			if tag != "" {
-				_ = j.PutJSON(measKey(tag, i), tr.Total)
-				ow.Emit(obs.BusEvent{Kind: obs.EvUnitCompleted, Stage: "measure/" + tag,
-					Unit: measKey(tag, i), Detail: fmt.Sprintf("cycles=%d", tr.Total)})
-			}
-			observe(tr.Total)
-			return nil
+			ow.Count("measure.exhaustive.runs", 1)
+			ow.Hist("measure.exhaustive.cycles", tr.Total)
 		}
 	})
 	if err != nil {
-		return 0, fail.Attribute(err, "measure", "")
+		return 0, err
 	}
 	var max int64 = -1
 	for _, m := range maxes {

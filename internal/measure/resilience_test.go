@@ -3,7 +3,6 @@ package measure
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -12,9 +11,7 @@ import (
 
 	"wcet/internal/fail"
 	"wcet/internal/faults"
-	"wcet/internal/journal"
 	"wcet/internal/partition"
-	"wcet/internal/retry"
 )
 
 func (fx *fixture) planAndInputs(t *testing.T) (*partition.Plan, []InputVar) {
@@ -146,59 +143,6 @@ func TestCampaignStallExpiredDeadlineIsBudget(t *testing.T) {
 	}
 }
 
-// TestCampaignJournalResumeSkipsSimulator: a journaled campaign replayed
-// into a fresh run reproduces the identical result without touching the
-// simulator — pinned by arming a fault at every replay site: if any
-// simulator run happened, the campaign would fail.
-func TestCampaignJournalResumeSkipsSimulator(t *testing.T) {
-	fx := setup(t, measSrc, "f")
-	plan, _ := fx.planAndInputs(t)
-	data := fx.allInputs(t)
-	j, err := journal.Open(filepath.Join(t.TempDir(), "j"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	jctx := journal.With(context.Background(), j)
-	first, err := CampaignTagged(jctx, "t", plan, fx.vm, data, 4, retry.Policy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rctx := faults.With(jctx, faults.New(faults.Rule{Site: "measure.run", Index: -1}))
-	resumed, err := CampaignTagged(rctx, "t", plan, fx.vm, data, 4, retry.Policy{})
-	if err != nil {
-		t.Fatalf("replayed campaign ran the simulator: %v", err)
-	}
-	if !reflect.DeepEqual(first, resumed) {
-		t.Error("replayed campaign result differs from the original")
-	}
-}
-
-// TestExhaustiveJournalResumeSkipsSimulator is the exhaustive-sweep
-// counterpart.
-func TestExhaustiveJournalResumeSkipsSimulator(t *testing.T) {
-	fx := setup(t, measSrc, "f")
-	data := fx.allInputs(t)
-	j, err := journal.Open(filepath.Join(t.TempDir(), "j"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	jctx := journal.With(context.Background(), j)
-	first, err := ExhaustiveMaxTagged(jctx, "x", fx.vm, data, 4, retry.Policy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rctx := faults.With(jctx, faults.New(faults.Rule{Site: "measure.exhaustive", Index: -1}))
-	resumed, err := ExhaustiveMaxTagged(rctx, "x", fx.vm, data, 4, retry.Policy{})
-	if err != nil {
-		t.Fatalf("replayed sweep ran the simulator: %v", err)
-	}
-	if first != resumed {
-		t.Errorf("replayed exhaustive max %d != original %d", resumed, first)
-	}
-}
-
 // TestCampaignTransientFaultHealedByRetry: a MaxFires-bounded infrastructure
 // fault on one vector is retried and the campaign result matches a clean
 // run exactly.
@@ -213,7 +157,7 @@ func TestCampaignTransientFaultHealedByRetry(t *testing.T) {
 	ctx := faults.With(context.Background(), faults.New(
 		faults.Rule{Site: "measure.run", Index: 2, MaxFires: 2,
 			Err: fail.Infra("measure", errors.New("injected transient"))}))
-	healed, err := CampaignTagged(ctx, "", plan, fx.vm, data, 4, retry.Policy{})
+	healed, err := CampaignCtx(ctx, plan, fx.vm, data, 4)
 	if err != nil {
 		t.Fatalf("transient fault within the attempt budget must heal: %v", err)
 	}

@@ -12,9 +12,9 @@ import (
 type EventKind string
 
 // Bus event kinds. Stage events bracket the pipeline stages; unit events
-// follow one work unit (a ga/ GA search, a tg/ model-check query, a meas/
-// measurement vector) through its lifecycle; worker events track the
-// distributed coordinator's view of its fleet.
+// follow one durable work unit (a ga/ GA search, a tg/ model-check query)
+// through its lifecycle; worker events track the distributed
+// coordinator's view of its fleet.
 const (
 	EvStageStart      EventKind = "stage.start"
 	EvStageFinish     EventKind = "stage.finish"

@@ -17,8 +17,9 @@ type StatusCore struct {
 	// Fingerprint is the journal identity (program + deterministic
 	// options) the snapshot was computed against.
 	Fingerprint string `json:"fingerprint,omitempty"`
-	// Stage is the frontier stage the run is in: "pending", "ga", "mc",
-	// "campaign", "fallback", "exhaustive" or "done".
+	// Stage is the frontier stage the run is in: "pending", "ga", "mc" or
+	// "done". Only generation units are journaled, so measurement has no
+	// stage here: it runs after "done", while the report is assembled.
 	Stage string `json:"stage"`
 	// Stages lists per-stage unit progress in pipeline order.
 	Stages []StageStatus `json:"stages,omitempty"`

@@ -20,7 +20,6 @@ import (
 	"wcet/internal/cfg"
 	"wcet/internal/fail"
 	"wcet/internal/faults"
-	"wcet/internal/journal"
 	"wcet/internal/obs"
 	"wcet/internal/par"
 )
@@ -222,22 +221,10 @@ func Sweep(g *cfg.Graph, bounds []cfg.Count, workers ...int) ([]Point, error) {
 	return SweepCtx(context.Background(), g, bounds, w)
 }
 
-// pointRecord is the journaled form of one sweep sample: the per-PS
-// partition decision for one bound, with counts round-tripped through
-// their decimal rendering (big integers do not survive JSON numbers).
-type pointRecord struct {
-	Bound   string
-	IP      int
-	IPFused int
-	M       string
-}
-
 // SweepCtx is Sweep under a context: cancellation stops the remaining
 // bounds cooperatively, and a panicking per-bound pass is isolated into a
 // deterministic fail.ErrWorkerPanic attributed to its bound instead of
-// crashing the sweep. Each bound's decision is one durable unit: with a
-// run journal on the context ("sweep/<bound>"), an interrupted sweep
-// resumes by replaying finished points.
+// crashing the sweep.
 func SweepCtx(ctx context.Context, g *cfg.Graph, bounds []cfg.Count, workers int) ([]Point, error) {
 	w := par.Workers(workers)
 	tree, err := BuildTree(g)
@@ -245,34 +232,17 @@ func SweepCtx(ctx context.Context, g *cfg.Graph, bounds []cfg.Count, workers int
 		return nil, err
 	}
 	o := obs.From(ctx)
-	j := journal.From(ctx)
 	out := make([]Point, len(bounds))
 	err = par.ForEachCtx(ctx, len(bounds), w, func(ctx context.Context, i int) error {
-		record := func(p Point) {
-			out[i] = p
-			// The point series is indexed by bound position, so the gauge's
-			// logical index makes the last bound's ip win deterministically.
-			o.Count("partition.sweep.points", 1)
-			o.Set("partition.sweep.last_ip", int64(i), int64(p.IP))
-		}
-		var rec pointRecord
-		if j.GetJSON("sweep/"+bounds[i].String(), &rec) {
-			if b, okB := cfg.ParseCount(rec.Bound); okB {
-				if m, okM := cfg.ParseCount(rec.M); okM {
-					record(Point{Bound: b, IP: rec.IP, IPFused: rec.IPFused, M: m})
-					o.Count("partition.journal.replayed", 1)
-					return nil
-				}
-			}
-		}
 		if ferr := faults.Fire(ctx, "partition.point", i); ferr != nil {
 			return fail.Attribute(fail.From("partition", ferr), "partition", bounds[i].String())
 		}
 		plan := Partition(g, tree, bounds[i])
-		p := Point{Bound: bounds[i], IP: plan.IP, IPFused: plan.IPFused(), M: plan.M}
-		_ = j.PutJSON("sweep/"+bounds[i].String(), &pointRecord{
-			Bound: p.Bound.String(), IP: p.IP, IPFused: p.IPFused, M: p.M.String()})
-		record(p)
+		out[i] = Point{Bound: bounds[i], IP: plan.IP, IPFused: plan.IPFused(), M: plan.M}
+		// The point series is indexed by bound position, so the gauge's
+		// logical index makes the last bound's ip win deterministically.
+		o.Count("partition.sweep.points", 1)
+		o.Set("partition.sweep.last_ip", int64(i), int64(plan.IP))
 		return nil
 	})
 	if err != nil {

@@ -3,13 +3,11 @@ package partition
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"wcet/internal/cfg"
 	"wcet/internal/fail"
 	"wcet/internal/faults"
-	"wcet/internal/journal"
 )
 
 // TestBuildTreeRejectsGraphWithoutArmTree is the regression for the old
@@ -67,39 +65,5 @@ func TestSweepCancelled(t *testing.T) {
 	cancel()
 	if _, err := SweepCtx(ctx, g, DefaultBounds(g, 8), 4); !errors.Is(err, fail.ErrCancelled) {
 		t.Errorf("cancelled sweep: got %v, want ErrCancelled", err)
-	}
-}
-
-// TestSweepJournalResumeSkipsPartitioning: a journaled sweep replays its
-// points without re-partitioning — pinned by arming a fault at every sweep
-// site on the resumed run — and big-integer measurement counts survive the
-// round trip through their decimal rendering.
-func TestSweepJournalResumeSkipsPartitioning(t *testing.T) {
-	g := buildGraph(t, figure1, "main")
-	bounds := DefaultBounds(g, 8)
-	j, err := journal.Open(filepath.Join(t.TempDir(), "j"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	jctx := journal.With(context.Background(), j)
-	first, err := SweepCtx(jctx, g, bounds, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rctx := faults.With(jctx, faults.New(faults.Rule{Site: "partition.point", Index: -1}))
-	resumed, err := SweepCtx(rctx, g, bounds, 4)
-	if err != nil {
-		t.Fatalf("replayed sweep re-partitioned: %v", err)
-	}
-	if len(first) != len(resumed) {
-		t.Fatalf("point counts differ: %d vs %d", len(first), len(resumed))
-	}
-	for i := range first {
-		a, b := first[i], resumed[i]
-		if a.Bound.CmpCount(b.Bound) != 0 || a.IP != b.IP || a.IPFused != b.IPFused ||
-			a.M.CmpCount(b.M) != 0 {
-			t.Errorf("point %d differs after replay: %+v vs %+v", i, a, b)
-		}
 	}
 }

@@ -23,8 +23,8 @@ package testgen
 import (
 	"wcet/internal/cc/ast"
 	"wcet/internal/interp"
-	"wcet/internal/journal"
 	"wcet/internal/mc"
+	"wcet/internal/obs"
 )
 
 // envRecord is a serialized environment: variable name → value.
@@ -151,28 +151,11 @@ func (r *tgRecord) stats() mc.Stats {
 		MemoryBytes: r.MemoryBytes, States: r.States}
 }
 
-func loadGA(j *journal.Journal, key string) (*gaRecord, bool) {
-	var r gaRecord
-	if !j.GetJSON("ga/"+key, &r) {
-		return nil, false
-	}
-	return &r, true
+func (*gaRecord) event(unit, detail string) obs.BusEvent {
+	return obs.BusEvent{Kind: obs.EvUnitCompleted, Stage: "ga", Unit: unit, Detail: detail}
 }
 
-func saveGA(j *journal.Journal, key string, r *gaRecord) {
-	// A full journal disk is an infrastructure problem for the run's owner;
-	// the analysis itself proceeds (it simply cannot resume past here).
-	_ = j.PutJSON("ga/"+key, r)
-}
-
-func loadTG(j *journal.Journal, key string) (*tgRecord, bool) {
-	var r tgRecord
-	if !j.GetJSON("tg/"+key, &r) {
-		return nil, false
-	}
-	return &r, true
-}
-
-func saveTG(j *journal.Journal, key string, r *tgRecord) {
-	_ = j.PutJSON("tg/"+key, r)
+func (r *tgRecord) event(unit, detail string) obs.BusEvent {
+	return obs.BusEvent{Kind: obs.EvVerdict, Stage: "mc", Unit: unit,
+		Verdict: Verdict(r.Verdict).String(), Detail: detail}
 }

@@ -14,14 +14,12 @@ import (
 	"strings"
 
 	"wcet/internal/fail"
-	"wcet/internal/interp"
 	"wcet/internal/journal"
 	"wcet/internal/paths"
 )
 
 // Progress is the journal's view of a generation run: which stage-1 and
-// stage-2 unit keys are still missing, and — once none are — the covering
-// environments in target order, exactly as GenerateCtx would emit them.
+// stage-2 unit keys are still missing.
 type Progress struct {
 	// MissingGA lists "ga/<key>" units with no journal record, in target
 	// order. Non-empty means stage 1 is the frontier.
@@ -30,13 +28,6 @@ type Progress struct {
 	// stage 1) but not journaled, in target order. Meaningful only when
 	// MissingGA is empty.
 	MissingMC []string
-	// Envs are the covering environments in target order (found paths
-	// only), valid only when both missing lists are empty.
-	Envs []interp.Env
-	// Unknown reports whether any resolved target ends Unknown — the
-	// signal that the run will need the exhaustive fallback (or end
-	// unavailable). Valid only when both missing lists are empty.
-	Unknown bool
 	// GADone/GATotal and MCDone/MCTotal count journaled vs planned units
 	// per stage, for live status views. The MC totals are only enumerable
 	// once stage 1 is complete (the residue depends on the coverage fold)
@@ -63,14 +54,14 @@ func (gen *Generator) Progress(j *journal.Journal, targets []paths.Path, conf Co
 	if !conf.SkipGA {
 		p.GATotal = n
 		recs := make([]*gaRecord, n)
-		for i := range targets {
-			rec, ok := peekGA(j, keys[i])
+		for i, k := range keys {
+			rec, ok := peek[gaRecord](j, "ga/"+k)
 			if !ok {
-				p.MissingGA = append(p.MissingGA, "ga/"+keys[i])
+				p.MissingGA = append(p.MissingGA, "ga/"+k)
 				continue
 			}
 			if rec.Quarantined {
-				p.Quarantined = append(p.Quarantined, "ga/"+keys[i])
+				p.Quarantined = append(p.Quarantined, "ga/"+k)
 			}
 			recs[i] = rec
 		}
@@ -82,36 +73,23 @@ func (gen *Generator) Progress(j *journal.Journal, targets []paths.Path, conf Co
 			board.deliver(i, gen.unpackGA(rec))
 		}
 	}
-	covered := board.counted
-	decls := gen.declByName()
-	for i := range targets {
-		if env, ok := covered[keys[i]]; ok {
-			p.Envs = append(p.Envs, env)
-			continue
-		}
-		if conf.SkipMC {
-			p.Unknown = true
+	if conf.SkipMC {
+		return p
+	}
+	for _, k := range keys {
+		if _, ok := board.counted[k]; ok {
 			continue
 		}
 		p.MCTotal++
-		rec, ok := peekTG(j, keys[i])
+		rec, ok := peek[tgRecord](j, "tg/"+k)
 		if !ok {
-			p.MissingMC = append(p.MissingMC, "tg/"+keys[i])
+			p.MissingMC = append(p.MissingMC, "tg/"+k)
 			continue
 		}
 		p.MCDone++
 		if rec.Quarantined {
-			p.Quarantined = append(p.Quarantined, "tg/"+keys[i])
+			p.Quarantined = append(p.Quarantined, "tg/"+k)
 		}
-		switch Verdict(rec.Verdict) {
-		case FoundByHeuristic, FoundByModelChecker:
-			p.Envs = append(p.Envs, unpackEnv(rec.Env, decls))
-		case Unknown:
-			p.Unknown = true
-		}
-	}
-	if len(p.MissingMC) > 0 {
-		p.Envs = nil
 	}
 	return p
 }
@@ -122,9 +100,10 @@ func (gen *Generator) Progress(j *journal.Journal, targets []paths.Path, conf Co
 // contributes nothing to coverage (its target falls through to the model
 // checker); a quarantined model-checker unit becomes an Unknown verdict
 // with an attributed infrastructure cause, landing the path in the
-// degradation ledger. Measurement keys are refused: skipping a measured
-// vector would silently lower per-unit maxima, which is unsound — such a
-// unit must fail the run instead. flight, when non-nil, is the dead
+// degradation ledger. Any other key is refused as invalid input: only
+// generation units are journaled, so only they can be leased — and
+// dropping anything else (a measured vector, say) would silently lower
+// per-unit maxima, which is unsound. flight, when non-nil, is the dead
 // worker's flight-recorder dump — stored on the fabricated record so the
 // degradation ledger entry carries its last-events post-mortem.
 func Quarantine(j *journal.Journal, key, reason string, flight []string) error {
@@ -145,17 +124,10 @@ func Quarantine(j *journal.Journal, key, reason string, flight []string) error {
 	}
 }
 
-func peekGA(j *journal.Journal, key string) (*gaRecord, bool) {
-	var r gaRecord
-	if !j.PeekJSON("ga/"+key, &r) {
-		return nil, false
-	}
-	return &r, true
-}
-
-func peekTG(j *journal.Journal, key string) (*tgRecord, bool) {
-	var r tgRecord
-	if !j.PeekJSON("tg/"+key, &r) {
+// peek reads one record without counting a resume hit.
+func peek[T any](j *journal.Journal, key string) (*T, bool) {
+	var r T
+	if !j.PeekJSON(key, &r) {
 		return nil, false
 	}
 	return &r, true

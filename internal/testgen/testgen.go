@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"wcet/internal/bdd"
 	"wcet/internal/c2m"
@@ -17,7 +18,6 @@ import (
 	"wcet/internal/faults"
 	"wcet/internal/ga"
 	"wcet/internal/interp"
-	"wcet/internal/journal"
 	"wcet/internal/mc"
 	"wcet/internal/obs"
 	"wcet/internal/opt"
@@ -200,14 +200,6 @@ func (gen *Generator) InputDecls() []*ast.VarDecl {
 	return out
 }
 
-// emitVerdict publishes one stage-2 verdict to the event bus (a no-op for
-// a nil observer). Bus events are volatile telemetry; this never touches
-// the canonical stream.
-func emitVerdict(ow *obs.Observer, key string, v Verdict, detail string) {
-	ow.Emit(obs.BusEvent{Kind: obs.EvVerdict, Stage: "mc",
-		Unit: "tg/" + key, Verdict: v.String(), Detail: detail})
-}
-
 // Generate produces test data for every target path.
 //
 // Both stages fan out over conf.Workers goroutines. GA searches run
@@ -230,26 +222,14 @@ func (gen *Generator) Generate(targets []paths.Path, conf Config) (*Report, erro
 // call that runs out of budget (conf.MC caps and Timeout) or fails leaves
 // its target Unknown with the cause recorded in PathResult.Err, and the
 // analysis continues — degrading the final report is the caller's job.
+//
+// Every GA search and every model-checker verdict is one durable unit,
+// resolved through the runner (runner.go): replayed from the run journal,
+// skipped when a distributed worker does not own it, served from the
+// persistent verdict cache, or computed.
 func (gen *Generator) GenerateCtx(ctx context.Context, targets []paths.Path, conf Config) (*Report, error) {
-	workers := par.Workers(conf.Workers)
 	o := obs.From(ctx)
-	j := journal.From(ctx)
-	// A distributed worker computes only its leased unit keys; everything
-	// else is a sibling's. Scoped runs also disable the incidental-coverage
-	// skip fast path and search with an empty done-snapshot, so every owned
-	// record is the full pure outcome of (target, seed) — the canonical
-	// coverage fold discards exactly the entries a serial run's skip logic
-	// would have, so the merged journal replays to the identical report.
-	scope := journal.ScopeFrom(ctx)
-	vc := vcache.From(ctx)
-	// The persistent cache only sees pure runs: an attached order book
-	// makes node statistics depend on learned state, and an active fault
-	// injector makes attempt histories depend on injected failures —
-	// either would store records that are not functions of their keys.
-	if !conf.cacheable() || faults.From(ctx) != nil {
-		vc = nil
-	}
-	rep := &Report{}
+	r := newRunner(ctx, conf)
 	n := len(targets)
 	keys := make([]string, n)
 	for i, p := range targets {
@@ -258,121 +238,21 @@ func (gen *Generator) GenerateCtx(ctx context.Context, targets []paths.Path, con
 
 	// Stage 1: heuristic search. Covered paths accumulate incidentally:
 	// every candidate a GA evaluates is checked against the open targets.
-	// Each search is one durable unit: a journaled outcome replays into the
-	// coverage fold without re-running (the fold discards superseded
-	// outcomes identically either way, so replay order cannot matter), a
-	// transient failure retries with a per-attempt seed, and an exhausted
-	// attempt budget degrades the one target — it simply gets no heuristic
-	// coverage and falls through to the model checker — instead of
-	// aborting the run.
 	board := newGABoard(keys)
-	gaKeys := gen.gaCacheKeys(vc, keys, conf)
-	cachedGA := make([]bool, n)
+	rep := &Report{}
 	if !conf.SkipGA {
-		err := par.ForEachWorkerCtx(ctx, n, workers, func(worker int) func(context.Context, int) error {
-			m := interp.New(gen.File, gen.M.Opt)
-			ow := o.Worker(worker)
-			return func(ctx context.Context, i int) error {
-				if rec, ok := loadGA(j, keys[i]); ok {
-					board.deliver(i, gen.unpackGA(rec))
-					o.Count("testgen.journal.replayed", 1)
-					ow.Emit(obs.BusEvent{Kind: obs.EvUnitCompleted, Stage: "ga",
-						Unit: "ga/" + keys[i], Detail: "replayed"})
-					// The journal is authoritative for this run; copy the
-					// replayed unit into the cache so the next run hits.
-					if gaKeys != nil {
-						storeGAVC(vc, gaKeys[i], rec)
-					}
-					return nil
-				}
-				if !scope.Owns("ga/" + keys[i]) {
-					// A sibling worker's unit: contribute nothing, compute
-					// nothing. The zero outcome keeps the local fold moving.
-					board.deliver(i, &gaOutcome{})
-					return nil
-				}
-				if gaKeys != nil {
-					if rec, ok := loadGAVC(vc, gaKeys[i]); ok {
-						// Journal the cache hit too: the run stays resumable,
-						// and on resume the journal (checked first) wins.
-						saveGA(j, keys[i], rec)
-						board.deliver(i, gen.unpackGA(rec))
-						cachedGA[i] = true
-						o.Count("testgen.vcache.replayed", 1)
-						return nil
-					}
-				}
-				skipped := false
-				var outcome *gaOutcome
-				// The fault site fires before the skip check on every
-				// attempt: whether index i is consulted must not depend on
-				// the (schedule-dependent) incidental-coverage fast path.
-				attempts, err := retry.Do(ctx, conf.Retry, func(attempt int) error {
-					if ferr := faults.Fire(ctx, "testgen.search", i); ferr != nil {
-						return fail.From("testgen", ferr)
-					}
-					// Scoped runs never take the skip fast path: the local fold
-					// is a lower bound of the canonical one (unowned outcomes
-					// fold as zero), so a local skip could journal a zero record
-					// where the canonical run needs the full pure outcome.
-					if scope == nil && board.trySkip(i) {
-						skipped = true
-						return nil
-					}
-					outcome = gen.searchTarget(ctx, m, board, targets, i, attempt, conf, ow, scope != nil)
-					return nil
-				})
-				if err != nil {
-					if ctx.Err() != nil {
-						return fail.Context("testgen", ctx.Err())
-					}
-					outcome = &gaOutcome{}
-				}
-				// A context that died mid-search truncates the GA via its Stop
-				// hook, making the outcome timing-dependent. It must not reach
-				// the journal (or the board): abandon it as cancelled in-flight
-				// work — the resumed run re-searches from scratch.
-				if ctx.Err() != nil {
-					return fail.Context("testgen", ctx.Err())
-				}
-				if skipped {
-					saveGA(j, keys[i], &gaRecord{})
-					if gaKeys != nil {
-						storeGAVC(vc, gaKeys[i], &gaRecord{})
-					}
-					ow.Emit(obs.BusEvent{Kind: obs.EvUnitCompleted, Stage: "ga",
-						Unit: "ga/" + keys[i], Detail: "skipped"})
-					return nil
-				}
-				if len(attempts) > 1 {
-					outcome.attempts = retry.History(attempts)
-					ow.Emit(obs.BusEvent{Kind: obs.EvUnitRetried, Stage: "ga",
-						Unit: "ga/" + keys[i], Detail: fmt.Sprintf("attempts=%d", len(attempts))})
-				}
-				rec := gen.packGA(outcome)
-				saveGA(j, keys[i], rec)
-				if gaKeys != nil {
-					storeGAVC(vc, gaKeys[i], rec)
-				}
-				board.deliver(i, outcome)
-				ow.Emit(obs.BusEvent{Kind: obs.EvUnitCompleted, Stage: "ga",
-					Unit: "ga/" + keys[i], Detail: fmt.Sprintf("found=%t evals=%d", outcome.found, outcome.evals)})
-				return nil
-			}
-		})
+		cachedGA, err := gen.searchAll(ctx, r, board, targets, conf)
 		if err != nil {
 			return nil, fail.Attribute(err, "testgen", "")
 		}
+		rep.CachedUnits = cachedGA
 	}
 	covered := board.counted
 	rep.TotalGAEvals = board.evals
 	o.Progressf("testgen: GA covered %d/%d targets (%d counted evaluations)",
 		len(covered), n, board.evals)
 
-	// Stage 2: model checking for the residue. Each residue path is one
-	// durable unit with a retry loop (transient failures only), a
-	// symbolic→explicit engine failover for BDD node-budget blow-ups on
-	// small input spaces, and a journal record replayed on resume.
+	// Stage 2: model checking for the residue.
 	results := make([]PathResult, n)
 	var residue []int
 	for i, p := range targets {
@@ -389,272 +269,30 @@ func (gen *Generator) GenerateCtx(ctx context.Context, targets []paths.Path, con
 		residue = append(residue, i)
 	}
 	o.Progressf("testgen: model checking %d residue paths", len(residue))
-	// Prepass (cache attached): lower every residue path once, in residue
-	// order, and probe the store exactly once per distinct cache key —
-	// against its pre-run state. Hits are therefore a pure function of
-	// (program, configuration, cache state at bind), never of worker
-	// scheduling: a record this run stores is invisible to this run, and
-	// when two residue paths slice to the identical query only the first
-	// owns the key (probes it, stores it) — a duplicate shares the owner's
-	// probe result, or proves itself exactly as it would without a cache.
-	// The prepass stops at lowerQuery — the sliced, unoptimised query the
-	// key digests — so a hit never pays the optimisation pipeline; the
-	// worker optimises only the models it actually has to prove.
-	var (
-		lows      []*c2m.Result
-		lowErrs   []error
-		ckeys     []vcache.Key
-		cachedRec []*tgRecord
-		ownsKey   []bool
-	)
-	if vc != nil {
-		lows = make([]*c2m.Result, len(residue))
-		lowErrs = make([]error, len(residue))
-		ckeys = make([]vcache.Key, len(residue))
-		cachedRec = make([]*tgRecord, len(residue))
-		ownsKey = make([]bool, len(residue))
-		owner := map[vcache.Key]int{}
-		for k, i := range residue {
-			low, err := gen.lowerQuery(targets[i], conf)
-			if err != nil {
-				lowErrs[k] = err
-				continue
-			}
-			lows[k] = low
-			ckeys[k] = gen.mcCacheKey(low, conf)
-			if first, seen := owner[ckeys[k]]; seen {
-				cachedRec[k] = cachedRec[first]
-				continue
-			}
-			owner[ckeys[k]] = k
-			ownsKey[k] = true
-			if rec, ok := loadTGVC(vc, ckeys[k]); ok {
-				cachedRec[k] = rec
-			}
-		}
-	}
-	merr := par.ForEachWorkerCtx(ctx, len(residue), workers, func(worker int) func(context.Context, int) error {
-		m := interp.New(gen.File, gen.M.Opt)
-		ow := o.Worker(worker)
-		return func(ctx context.Context, k int) error {
-			i := residue[k]
-			pr := &results[i]
-			// The residue set and each call's outcome are pure functions of
-			// program + config, so the per-path span is deterministic; its
-			// logical key nests it under the testgen stage span.
-			sp := ow.Span("testgen", "mc.path", "30/testgen/mc/"+keys[i],
-				"path", keys[i])
-			if rec, ok := loadTG(j, keys[i]); ok {
-				pr.Verdict = Verdict(rec.Verdict)
-				pr.Env = unpackEnv(rec.Env, gen.declByName())
-				pr.MCStats = rec.stats()
-				pr.Attempts = rec.Attempts
-				pr.Err = fail.Replayed(rec.CauseKind, rec.CauseMsg)
-				pr.Flight = rec.Flight
-				o.Count("testgen.journal.replayed", 1)
-				emitVerdict(ow, keys[i], pr.Verdict, "replayed")
-				// Journal replay wins over the cache, and feeds it (first
-				// owner of the key only, so duplicate queries write once).
-				if vc != nil && ownsKey[k] && lows[k] != nil {
-					storeTGVC(vc, ckeys[k], rec)
-				}
-				if pr.Err != nil {
-					sp.End("verdict", pr.Verdict, "cause", pr.Err.Error())
-				} else {
-					sp.End("verdict", pr.Verdict,
-						"steps", pr.MCStats.Steps, "peak-nodes", pr.MCStats.PeakNodes)
-				}
-				return nil
-			}
-			if !scope.Owns("tg/" + keys[i]) {
-				// A sibling's residue unit: leave it locally Unknown without
-				// journaling anything — the owner's record is merged by the
-				// coordinator before any stage that consumes it.
-				pr.Verdict = Unknown
-				sp.End("verdict", pr.Verdict, "cause", "unowned")
-				return nil
-			}
-			// Lower once per unit: the checked model is a pure function of
-			// program + config, identical across retry attempts, so the
-			// attempt loop must not pay the lowering and optimisation
-			// pipeline again. The symbolic query likewise persists across
-			// attempts (its expensive state builds lazily on first use and
-			// is dropped on failure, so retries stay deterministic). With a
-			// cache attached the prepass already lowered this unit.
-			var low *c2m.Result
-			var lerr error
-			if vc != nil {
-				low, lerr = lows[k], lowErrs[k]
-			} else {
-				low, lerr = gen.lowerPath(targets[i], conf)
-			}
-			if lerr != nil {
-				if ctx.Err() != nil {
-					return fail.Context("testgen", ctx.Err())
-				}
-				pr.Verdict = Unknown
-				pr.Err = fail.Attribute(lerr, "testgen", keys[i])
-				saveTG(j, keys[i], packTG(gen, pr, fail.KindLabel(pr.Err), pr.Err.Error()))
-				emitVerdict(ow, keys[i], pr.Verdict, pr.Err.Error())
-				sp.End("verdict", pr.Verdict, "cause", pr.Err.Error())
-				return nil
-			}
-			if vc != nil {
-				if rec := cachedRec[k]; rec != nil {
-					env := unpackEnv(rec.Env, gen.declByName())
-					// A cached Found verdict may cross program edits (its
-					// sliced query was identical); re-validate the concrete
-					// environment on the current program exactly like a
-					// fresh witness, failing closed into a recompute.
-					if rec.Verdict != int(FoundByModelChecker) || gen.validEnv(m, targets[i], env) {
-						pr.Verdict = Verdict(rec.Verdict)
-						pr.Env = env
-						pr.MCStats = rec.stats()
-						pr.Attempts = rec.Attempts
-						pr.Err = fail.Replayed(rec.CauseKind, rec.CauseMsg)
-						pr.Cached = true
-						saveTG(j, keys[i], rec)
-						o.Count("testgen.vcache.replayed", 1)
-						emitVerdict(ow, keys[i], pr.Verdict, "cached")
-						if pr.Err != nil {
-							sp.End("verdict", pr.Verdict, "cause", pr.Err.Error())
-						} else {
-							sp.End("verdict", pr.Verdict,
-								"steps", pr.MCStats.Steps, "peak-nodes", pr.MCStats.PeakNodes)
-						}
-						return nil
-					}
-				}
-			}
-			// With a cache attached the prepass stopped at lowerQuery; this
-			// model must be proved after all, so it pays the optimisation
-			// pipeline now — exactly what lowerPath would have produced.
-			if vc != nil && conf.Optimise {
-				opt.All(low.Model)
-			}
-			q := mc.NewQuery(low.Model, conf.MC)
-			defer q.Close()
-			var res *mc.Result
-			var env interp.Env
-			attempts, err := retry.Do(ctx, conf.Retry, func(attempt int) error {
-				if ferr := faults.Fire(ctx, "testgen.mc", i); ferr != nil {
-					return fail.From("testgen", ferr)
-				}
-				var aerr error
-				res, aerr = q.CheckCtx(ctx)
-				if aerr != nil {
-					return aerr
-				}
-				env = nil
-				if res.Reachable {
-					env, aerr = gen.witnessEnv(m, low, targets[i], res.Witness, conf)
-				}
-				return aerr
-			})
-			history := retry.History(attempts)
-			// Failover: a BDD node budget is deterministic — retrying the
-			// symbolic engine reproduces the blow-up — but a small input
-			// space can be enumerated exactly by the explicit engine, which
-			// checks the very model the symbolic engine just gave up on.
-			var lim *bdd.LimitError
-			if err != nil && ctx.Err() == nil && errors.As(err, &lim) {
-				if space := inputSpace(low.Model); space <= conf.failoverMax() {
-					history = append(history,
-						fmt.Sprintf("failover: explicit engine (%.0f initial states)", space))
-					o.Count("testgen.failover.explicit", 1)
-					if ferr := faults.Fire(ctx, "testgen.failover", i); ferr != nil {
-						err = fail.From("testgen", ferr)
-					} else if xres, xerr := mc.CheckExplicitCtx(ctx, low.Model, conf.MC); xerr != nil {
-						err = xerr
-					} else {
-						res, env, err = xres, nil, nil
-						if xres.Reachable {
-							env, err = gen.witnessEnv(m, low, targets[i], xres.Witness, conf)
-						}
-					}
-				}
-			}
-			if len(history) > 1 {
-				pr.Attempts = append(pr.Attempts, history...)
-				ow.Emit(obs.BusEvent{Kind: obs.EvUnitRetried, Stage: "mc",
-					Unit: "tg/" + keys[i], Detail: fmt.Sprintf("attempts=%d", len(history))})
-			}
-			if err != nil {
-				// Root-context cancellation unwinds the whole run; any
-				// per-path failure — budget, per-path timeout, unsupported
-				// construct — degrades this one target to Unknown.
-				if ctx.Err() != nil {
-					return fail.Context("testgen", ctx.Err())
-				}
-				pr.Verdict = Unknown
-				pr.Err = fail.Attribute(err, "testgen", keys[i])
-				rec := packTG(gen, pr, fail.KindLabel(pr.Err), pr.Err.Error())
-				saveTG(j, keys[i], rec)
-				if vc != nil && ownsKey[k] {
-					storeTGVC(vc, ckeys[k], rec)
-				}
-				emitVerdict(ow, keys[i], pr.Verdict, pr.Err.Error())
-				sp.End("verdict", pr.Verdict, "cause", pr.Err.Error())
-				return nil
-			}
-			pr.MCStats = res.Stats
-			if res.Reachable {
-				pr.Verdict = FoundByModelChecker
-				pr.Env = env
-			} else {
-				pr.Verdict = Infeasible
-			}
-			rec := packTG(gen, pr, "", "")
-			saveTG(j, keys[i], rec)
-			if vc != nil && ownsKey[k] {
-				storeTGVC(vc, ckeys[k], rec)
-			}
-			emitVerdict(ow, keys[i],
-				pr.Verdict, fmt.Sprintf("steps=%d", res.Stats.Steps))
-			sp.End("verdict", pr.Verdict,
-				"steps", res.Stats.Steps, "peak-nodes", res.Stats.PeakNodes)
-			return nil
-		}
-	})
-	if merr != nil {
-		return nil, fail.Attribute(merr, "testgen", "")
+	if err := gen.checkResidue(ctx, r, targets, keys, residue, results, conf); err != nil {
+		return nil, fail.Attribute(err, "testgen", "")
 	}
 
 	// Deterministic merge in target order. This single pass feeds both the
 	// Report roll-ups and the metrics registry, so the two views agree by
 	// construction.
-	heuristicHits := 0
-	feasible := 0
 	retried := 0
-	for _, c := range cachedGA {
-		if c {
-			rep.CachedUnits++
-		}
-	}
 	var byVerdict [4]int
 	for i := range results {
-		byVerdict[results[i].Verdict]++
-		if results[i].Cached {
+		pr := &results[i]
+		byVerdict[pr.Verdict]++
+		if pr.Cached {
 			rep.CachedUnits++
 		}
-		if len(results[i].Attempts) > 0 {
+		if len(pr.Attempts) > 0 {
 			retried++
 		}
-		switch results[i].Verdict {
-		case FoundByHeuristic:
-			heuristicHits++
-			feasible++
-		case FoundByModelChecker:
-			feasible++
-		}
-		rep.TotalMCSteps += results[i].MCStats.Steps
-		if results[i].MCStats.PeakNodes > rep.PeakMCNodes {
-			rep.PeakMCNodes = results[i].MCStats.PeakNodes
-		}
+		rep.TotalMCSteps += pr.MCStats.Steps
+		rep.PeakMCNodes = max(rep.PeakMCNodes, pr.MCStats.PeakNodes)
 	}
 	rep.Results = results
-	if feasible > 0 {
-		rep.HeuristicShare = float64(heuristicHits) / float64(feasible)
+	if feasible := byVerdict[FoundByHeuristic] + byVerdict[FoundByModelChecker]; feasible > 0 {
+		rep.HeuristicShare = float64(byVerdict[FoundByHeuristic]) / float64(feasible)
 	}
 	if o != nil {
 		o.Count("testgen.ga.evaluations", int64(rep.TotalGAEvals))
@@ -668,6 +306,319 @@ func (gen *Generator) GenerateCtx(ctx context.Context, targets []paths.Path, con
 		o.Set("testgen.heuristic_share_bp", 0, int64(rep.HeuristicShare*10000))
 	}
 	return rep, nil
+}
+
+// searchAll runs stage 1, one durable GA search per target, folding every
+// outcome into board, and returns how many searches the cache served. A
+// replayed or cached outcome folds exactly like a computed one (the fold
+// discards superseded outcomes identically either way, so replay order
+// cannot matter); a transient failure retries with a per-attempt seed, and
+// an exhausted attempt budget degrades the one target — it simply gets no
+// heuristic coverage and falls through to the model checker — instead of
+// aborting the run.
+//
+// A distributed worker computes only its leased unit keys; everything else
+// is a sibling's. Scoped runs also disable the incidental-coverage skip
+// fast path and search with an empty done-snapshot, so every owned record
+// is the full pure outcome of (target, seed) — the canonical coverage fold
+// discards exactly the entries a serial run's skip logic would have, so
+// the merged journal replays to the identical report.
+func (gen *Generator) searchAll(ctx context.Context, r *runner, board *gaBoard,
+	targets []paths.Path, conf Config) (int, error) {
+
+	keys := board.keys
+	vc := r.vc
+	gaKeys := gen.gaCacheKeys(vc, keys, conf)
+	var hits atomic.Int64
+	err := par.ForEachWorkerCtx(ctx, len(targets), par.Workers(conf.Workers), func(worker int) func(context.Context, int) error {
+		m := interp.New(gen.File, gen.M.Opt)
+		ow := r.o.Worker(worker)
+		return func(ctx context.Context, i int) error {
+			var outcome *gaOutcome
+			u := unit[*gaRecord]{key: "ga/" + keys[i]}
+			if gaKeys != nil {
+				u.hit = func() (*gaRecord, bool) { return cacheGet[gaRecord](vc, gaKeys[i]) }
+				u.store = func(rec *gaRecord) { _ = vc.Put(gaKeys[i], rec) }
+			}
+			u.compute = func(ctx context.Context) (*gaRecord, string, error) {
+				skipped := false
+				// The fault site fires before the skip check on every
+				// attempt: whether index i is consulted must not depend on
+				// the (schedule-dependent) incidental-coverage fast path.
+				attempts, err := retry.Do(ctx, conf.Retry, func(attempt int) error {
+					if ferr := faults.Fire(ctx, "testgen.search", i); ferr != nil {
+						return fail.From("testgen", ferr)
+					}
+					// Scoped runs never take the skip fast path: the local
+					// fold is a lower bound of the canonical one (unowned
+					// outcomes fold as zero), so a local skip could journal a
+					// zero record where the canonical run needs the full pure
+					// outcome.
+					if r.scope == nil && board.trySkip(i) {
+						skipped = true
+						return nil
+					}
+					outcome = gen.searchTarget(ctx, m, board, targets, i, attempt, conf, ow, r.scope != nil)
+					return nil
+				})
+				if skipped {
+					// The board already folded the skip; its zero record
+					// replays the same (empty) contribution.
+					return &gaRecord{}, "skipped", nil
+				}
+				if err != nil {
+					outcome = &gaOutcome{}
+				}
+				if len(attempts) > 1 {
+					outcome.attempts = retry.History(attempts)
+					ow.Emit(obs.BusEvent{Kind: obs.EvUnitRetried, Stage: "ga",
+						Unit: u.key, Detail: fmt.Sprintf("attempts=%d", len(attempts))})
+				}
+				return gen.packGA(outcome), fmt.Sprintf("found=%t evals=%d", outcome.found, outcome.evals), nil
+			}
+			rec, from, err := run(ctx, r, ow, u)
+			if err != nil {
+				return err
+			}
+			switch from {
+			case replayed, cached:
+				outcome = gen.unpackGA(rec)
+				if from == cached {
+					hits.Add(1)
+				}
+			case unowned:
+				// A sibling worker's unit: contribute nothing, compute
+				// nothing. The zero outcome keeps the local fold moving.
+				outcome = &gaOutcome{}
+			}
+			if outcome != nil {
+				board.deliver(i, outcome)
+			}
+			return nil
+		}
+	})
+	return int(hits.Load()), err
+}
+
+// mcProbe is the verdict-cache prepass result for one residue path.
+type mcProbe struct {
+	low *c2m.Result // the sliced, unoptimised query (nil on lowering failure)
+	err error       // the lowering failure
+	key vcache.Key
+	// rec is the store's record for key before the run, shared by every
+	// residue path with the same key.
+	rec *tgRecord
+	// owns marks the first residue path with this key: the only one that
+	// probed the store, and the only one that writes it.
+	owns bool
+}
+
+// probeResidue is the stage-2 cache prepass: it lowers every residue path
+// once, in residue order, and probes the store exactly once per distinct
+// cache key — against its pre-run state. Hits are therefore a pure
+// function of (program, configuration, cache state at bind), never of
+// worker scheduling: a record this run stores is invisible to this run,
+// and when two residue paths slice to the identical query only the first
+// owns the key (probes it, stores it) — a duplicate shares the owner's
+// probe result, or proves itself exactly as it would without a cache. The
+// prepass stops at lowerQuery — the sliced, unoptimised query the key
+// digests — so a hit never pays the optimisation pipeline.
+func (gen *Generator) probeResidue(vc *vcache.Store, targets []paths.Path, residue []int, conf Config) []mcProbe {
+	probes := make([]mcProbe, len(residue))
+	owner := map[vcache.Key]int{}
+	for k, i := range residue {
+		p := &probes[k]
+		if p.low, p.err = gen.lowerQuery(targets[i], conf); p.err != nil {
+			continue
+		}
+		p.key = gen.mcCacheKey(p.low, conf)
+		if first, seen := owner[p.key]; seen {
+			p.rec = probes[first].rec
+			continue
+		}
+		owner[p.key] = k
+		p.owns = true
+		p.rec, _ = cacheGet[tgRecord](vc, p.key)
+	}
+	return probes
+}
+
+// checkResidue runs stage 2, one durable model-checker verdict per residue
+// path, written into results. Each unit has a retry loop (transient
+// failures only) and a symbolic→explicit engine failover for BDD
+// node-budget blow-ups on small input spaces (see prove).
+func (gen *Generator) checkResidue(ctx context.Context, r *runner, targets []paths.Path,
+	keys []string, residue []int, results []PathResult, conf Config) error {
+
+	vc := r.vc
+	var probes []mcProbe
+	if vc != nil {
+		probes = gen.probeResidue(vc, targets, residue, conf)
+	}
+	return par.ForEachWorkerCtx(ctx, len(residue), par.Workers(conf.Workers), func(worker int) func(context.Context, int) error {
+		m := interp.New(gen.File, gen.M.Opt)
+		ow := r.o.Worker(worker)
+		return func(ctx context.Context, k int) error {
+			i := residue[k]
+			pr := &results[i]
+			key := keys[i]
+			// The residue set and each call's outcome are pure functions of
+			// program + config, so the per-path span is deterministic; its
+			// logical key nests it under the testgen stage span.
+			sp := ow.Span("testgen", "mc.path", "30/testgen/mc/"+key, "path", key)
+			// Lower once per unit: the checked model is a pure function of
+			// program + config, identical across retry attempts.
+			lower := func() (*c2m.Result, error) { return gen.lowerPath(pr.Path, conf) }
+			u := unit[*tgRecord]{key: "tg/" + key}
+			if vc != nil {
+				p := &probes[k]
+				// The prepass already lowered this unit and stopped before
+				// the optimisation pipeline; a model that must be proved
+				// after all pays it now — exactly what lowerPath produces.
+				lower = func() (*c2m.Result, error) {
+					if p.err == nil && conf.Optimise {
+						opt.All(p.low.Model)
+					}
+					return p.low, p.err
+				}
+				u.hit = func() (*tgRecord, bool) {
+					// A cached Found verdict may cross program edits (its
+					// sliced query was identical); re-validate the concrete
+					// environment on the current program exactly like a
+					// fresh witness, failing closed into a recompute.
+					if p.rec == nil || p.rec.Verdict == int(FoundByModelChecker) &&
+						!gen.validEnv(m, pr.Path, unpackEnv(p.rec.Env, gen.declByName())) {
+						return nil, false
+					}
+					return p.rec, true
+				}
+				if p.owns {
+					u.store = func(rec *tgRecord) { _ = vc.Put(p.key, rec) }
+				}
+			}
+			u.compute = func(ctx context.Context) (*tgRecord, string, error) {
+				return gen.decide(ctx, m, ow, pr, i, lower, conf)
+			}
+			rec, from, err := run(ctx, r, ow, u)
+			if err != nil {
+				return err
+			}
+			switch from {
+			case unowned:
+				// A sibling's residue unit: leave it locally Unknown — the
+				// owner's record is merged by the coordinator before the
+				// report that consumes it is assembled.
+				pr.Verdict = Unknown
+				sp.End("verdict", pr.Verdict, "cause", "unowned")
+				return nil
+			case replayed, cached:
+				pr.Verdict = Verdict(rec.Verdict)
+				pr.Env = unpackEnv(rec.Env, gen.declByName())
+				pr.MCStats = rec.stats()
+				pr.Attempts = rec.Attempts
+				pr.Err = fail.Replayed(rec.CauseKind, rec.CauseMsg)
+				pr.Flight = rec.Flight
+				pr.Cached = from == cached
+			}
+			if pr.Err != nil {
+				sp.End("verdict", pr.Verdict, "cause", pr.Err.Error())
+			} else {
+				sp.End("verdict", pr.Verdict,
+					"steps", pr.MCStats.Steps, "peak-nodes", pr.MCStats.PeakNodes)
+			}
+			return nil
+		}
+	})
+}
+
+// decide model-checks one residue path into pr and returns its journal
+// record and event detail. Root-context cancellation unwinds the whole
+// run; any per-path failure — lowering, budget, per-path timeout,
+// unsupported construct — degrades this one target to Unknown.
+func (gen *Generator) decide(ctx context.Context, m *interp.Machine, ow *obs.Observer, pr *PathResult,
+	i int, lower func() (*c2m.Result, error), conf Config) (*tgRecord, string, error) {
+
+	low, err := lower()
+	if err == nil {
+		var res *mc.Result
+		var env interp.Env
+		var history []string
+		res, env, history, err = gen.prove(ctx, m, low, pr.Path, i, conf)
+		if len(history) > 1 {
+			pr.Attempts = append(pr.Attempts, history...)
+			ow.Emit(obs.BusEvent{Kind: obs.EvUnitRetried, Stage: "mc",
+				Unit: "tg/" + pr.Path.Key(), Detail: fmt.Sprintf("attempts=%d", len(history))})
+		}
+		if err == nil {
+			pr.MCStats = res.Stats
+			pr.Verdict = Infeasible
+			if res.Reachable {
+				pr.Verdict = FoundByModelChecker
+				pr.Env = env
+			}
+			return packTG(gen, pr, "", ""), fmt.Sprintf("steps=%d", res.Stats.Steps), nil
+		}
+	}
+	if ctx.Err() != nil {
+		return nil, "", fail.Context("testgen", ctx.Err())
+	}
+	pr.Verdict = Unknown
+	pr.Err = fail.Attribute(err, "testgen", pr.Path.Key())
+	return packTG(gen, pr, fail.KindLabel(pr.Err), pr.Err.Error()), pr.Err.Error(), nil
+}
+
+// prove checks one lowered path model under the retry policy and returns
+// the verdict, the validated witness environment for a reachable path, and
+// the attempt history. The symbolic query persists across attempts (its
+// expensive state builds lazily on first use and is dropped on failure, so
+// retries stay deterministic).
+//
+// Failover: a BDD node budget is deterministic — retrying the symbolic
+// engine reproduces the blow-up — but a small input space can be
+// enumerated exactly by the explicit engine, which checks the very model
+// the symbolic engine just gave up on.
+func (gen *Generator) prove(ctx context.Context, m *interp.Machine, low *c2m.Result, p paths.Path,
+	i int, conf Config) (*mc.Result, interp.Env, []string, error) {
+
+	q := mc.NewQuery(low.Model, conf.MC)
+	defer q.Close()
+	var res *mc.Result
+	var env interp.Env
+	attempts, err := retry.Do(ctx, conf.Retry, func(attempt int) error {
+		if ferr := faults.Fire(ctx, "testgen.mc", i); ferr != nil {
+			return fail.From("testgen", ferr)
+		}
+		var aerr error
+		res, aerr = q.CheckCtx(ctx)
+		if aerr != nil {
+			return aerr
+		}
+		env = nil
+		if res.Reachable {
+			env, aerr = gen.witnessEnv(m, low, p, res.Witness, conf)
+		}
+		return aerr
+	})
+	history := retry.History(attempts)
+	var lim *bdd.LimitError
+	if err != nil && ctx.Err() == nil && errors.As(err, &lim) {
+		if space := inputSpace(low.Model); space <= conf.failoverMax() {
+			history = append(history,
+				fmt.Sprintf("failover: explicit engine (%.0f initial states)", space))
+			obs.From(ctx).Count("testgen.failover.explicit", 1)
+			if ferr := faults.Fire(ctx, "testgen.failover", i); ferr != nil {
+				err = fail.From("testgen", ferr)
+			} else if xres, xerr := mc.CheckExplicitCtx(ctx, low.Model, conf.MC); xerr != nil {
+				err = xerr
+			} else {
+				res, env, err = xres, nil, nil
+				if xres.Reachable {
+					env, err = gen.witnessEnv(m, low, p, xres.Witness, conf)
+				}
+			}
+		}
+	}
+	return res, env, history, err
 }
 
 // searchTarget runs one speculative GA search on a worker-private machine
@@ -724,35 +675,6 @@ func (gen *Generator) searchTarget(ctx context.Context, m *interp.Machine, board
 		o.env = env
 	}
 	return o
-}
-
-// CheckPath runs the model checker for one path and maps the witness back
-// to an interpreter environment.
-func (gen *Generator) CheckPath(p paths.Path, conf Config) (*mc.Result, interp.Env, error) {
-	return gen.checkPathCtx(context.Background(), gen.M, p, conf)
-}
-
-// checkPathCtx is CheckPath with an explicit machine for the witness
-// replay, so concurrent callers can use worker-private interpreters, and a
-// context bounding the model-checker call (together with conf.MC's step,
-// node and per-call timeout budgets).
-func (gen *Generator) checkPathCtx(ctx context.Context, m *interp.Machine, p paths.Path, conf Config) (*mc.Result, interp.Env, error) {
-	low, err := gen.lowerPath(p, conf)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := mc.CheckCtx(ctx, low.Model, conf.MC)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !res.Reachable {
-		return res, nil, nil
-	}
-	env, err := gen.witnessEnv(m, low, p, res.Witness, conf)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, env, nil
 }
 
 // lowerQuery builds the per-path query up to — but not including — the

@@ -153,44 +153,13 @@ func (gen *Generator) mcCacheKey(low *c2m.Result, conf Config) vcache.Key {
 	return h.Sum()
 }
 
-// loadGAVC / storeGAVC move stage-1 records across the cache boundary.
-func loadGAVC(vc *vcache.Store, k vcache.Key) (*gaRecord, bool) {
-	if vc == nil {
-		return nil, false
-	}
-	var r gaRecord
+// cacheGet reads one record from the verdict cache.
+func cacheGet[T any](vc *vcache.Store, k vcache.Key) (*T, bool) {
+	var r T
 	if !vc.Get(k, &r) {
 		return nil, false
 	}
 	return &r, true
-}
-
-func storeGAVC(vc *vcache.Store, k vcache.Key, r *gaRecord) {
-	if vc == nil {
-		return
-	}
-	// A full cache disk is the store owner's problem; the analysis itself
-	// proceeds (it simply will not hit here next run).
-	_ = vc.Put(k, r)
-}
-
-// loadTGVC / storeTGVC move stage-2 verdicts across the cache boundary.
-func loadTGVC(vc *vcache.Store, k vcache.Key) (*tgRecord, bool) {
-	if vc == nil {
-		return nil, false
-	}
-	var r tgRecord
-	if !vc.Get(k, &r) {
-		return nil, false
-	}
-	return &r, true
-}
-
-func storeTGVC(vc *vcache.Store, k vcache.Key, r *tgRecord) {
-	if vc == nil {
-		return
-	}
-	_ = vc.Put(k, r)
 }
 
 // validEnv replays a cached covering environment on the current program

@@ -162,10 +162,10 @@ func WriteCrashFile(path, reason string, flight []string) error {
 }
 
 // Journal is the crash-safe run journal threaded through an analysis via
-// Options.Journal: every completed unit of work (GA search, model-checker
-// verdict, measurement, partition point) is appended durably before the
-// pipeline moves on, so a killed run resumed against the same journal
-// replays finished units and converges to a report byte-identical to an
+// Options.Journal: every completed generation unit (GA search,
+// model-checker verdict) is appended durably before the pipeline moves on,
+// so a killed run resumed against the same journal replays finished units,
+// re-measures, and converges to a report byte-identical to an
 // uninterrupted run — at any worker count. nil disables journaling (the
 // default); see OpenJournal.
 type Journal = journal.Journal
