@@ -1,8 +1,9 @@
 # Build and verification entry points. `make check` is the full gate:
-# build, vet, the test suite, and the race-detector run that guards the
-# parallel analysis engine. `make check-faults` additionally drives the
+# build, vet, the test suite, the race-detector run that guards the
+# parallel analysis engine, and every check-* suite below, including the
 # fault-injection and resilience suites (cancellation, injected faults,
-# worker panics, degraded reports) under the race detector.
+# worker panics, degraded reports) and the observability determinism
+# suites.
 
 GO ?= go
 
@@ -13,7 +14,7 @@ help:
 	@echo "make test          - run the test suite"
 	@echo "make vet           - go vet"
 	@echo "make race          - test suite under the race detector"
-	@echo "make check         - build + vet + test + race + chaos (the full gate)"
+	@echo "make check         - build + vet + test + race + every check-* suite (the full gate)"
 	@echo "make check-determinism - worker-count determinism suites under -race at 1, 2 and 4 CPUs"
 	@echo "make check-faults  - fault-injection & resilience suites under -race"
 	@echo "make check-obs     - observability determinism suites under -race"
@@ -47,7 +48,7 @@ vet:
 race:
 	$(GO) test -race ./...
 
-check: build vet test race check-determinism check-chaos check-symbolic check-cache check-dist check-live check-remote
+check: build vet test race check-determinism check-faults check-obs check-chaos check-symbolic check-cache check-dist check-live check-remote
 
 # check-determinism re-runs the worker-count determinism suites — every
 # stage's and the whole pipeline's identical-across-workers tests — under
@@ -95,31 +96,30 @@ check-chaos:
 # check-symbolic drives the symbolic engines' correctness surface under
 # the race detector, at one and two CPUs: the BDD kernel's property suites
 # (including reordering), the mc differential suites (sliced vs unsliced,
-# reordered vs static, pooled vs fresh, order handoff, the three-engine
-# agreement on random models), the forward engine's dispatch, fallback and
+# reordered vs static, pooled vs fresh through the test-only lever hook,
+# the three-engine agreement on random models), the forward engine's dispatch, fallback and
 # resilience tests, the node-budget failover from the forward engine to
 # the explicit one, the forward-vs-reachability check of every residue
 # path of a generated program, the slicing pass's unit tests, and the
-# end-to-end lever determinism pins on the wiper study.
+# end-to-end lever determinism pin on the wiper study.
 check-symbolic:
 	$(GO) test -race -count 1 -cpu 1,2 ./internal/bdd ./internal/opt
 	$(GO) test -race -count 1 -cpu 1,2 \
-		-run 'Sliced|Slice|Reorder|Pooled|OrderBook|Lever|EnginesAgree|Forward|FailsOver|Failover' \
+		-run 'Sliced|Slice|Reorder|Pooled|Lever|EnginesAgree|Forward|FailsOver|Failover' \
 		./internal/mc ./internal/experiments ./internal/testgen
 
 # check-cache drives the incremental re-analysis surface under the race
 # detector, at one, two and four CPUs: the vcache store's own suite
 # (concurrent put/get included), the generator's cache semantics tests
 # (warm-run identity, cross-edit hit survival, journal-beats-cache
-# precedence, budget-keyed degraded verdicts, OrderBook bypass,
-# poisoned-env fail-closed), the journal fingerprint regression and
+# precedence, budget-keyed degraded verdicts, poisoned-env fail-closed), the journal fingerprint regression and
 # reflection field-coverage tests that pin every option field into a
 # fingerprint or an explicit exemption, and the wiper warm-cache
 # byte-identity and event-count acceptance tests.
 check-cache:
 	$(GO) test -race -count 1 -cpu 1,2,4 ./internal/vcache
 	$(GO) test -race -count 1 -cpu 1,2,4 \
-		-run 'VCache|Fingerprint|LeverFlip|WarmCache' \
+		-run 'VCache|Fingerprint|WarmCache' \
 		./internal/testgen ./internal/journal ./internal/tsys \
 		./internal/core ./internal/experiments
 
@@ -217,12 +217,13 @@ bench-journal:
 	| $(GO) run ./cmd/benchlog -out BENCH_4.json
 
 # bench-symbolic measures the raw-symbolic-speed work: the interleaved
-# lever A/B on the unoptimised Table 2 model (before = all levers off,
-# after = the default engine, timed back to back each iteration) plus the
+# lever A/B on the unoptimised Table 2 model (before = all levers off
+# through mc's test-only hook, after = the default engine, timed back to
+# back each iteration) plus the
 # end-to-end Table 2 and hybrid test-generation benchmarks, appended to
 # BENCH_5.json. The file's first entries are the pre-lever baselines.
 bench-symbolic:
-	( $(GO) test -run '^$$' -bench SymbolicLevers -benchtime 3x . ; \
+	( $(GO) test -run '^$$' -bench SymbolicLevers -benchtime 3x ./internal/mc ; \
 	  $(GO) test -run '^$$' -bench 'Table2$$|HybridTestGen$$' -benchtime 3x . ) \
 	| $(GO) run ./cmd/benchlog -out BENCH_5.json
 

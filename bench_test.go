@@ -24,7 +24,6 @@ import (
 	"wcet/internal/experiments"
 	"wcet/internal/ga"
 	"wcet/internal/gen"
-	"wcet/internal/mc"
 	"wcet/internal/model"
 	"wcet/internal/partition"
 	"wcet/internal/testgen"
@@ -167,8 +166,7 @@ func BenchmarkHybridTestGen(b *testing.B) {
 			FuncName: "control",
 			Bound:    6,
 			TestGen: testgen.Config{
-				GA:       ga.Config{Seed: 7, Pop: 48, MaxGens: 80, Stagnation: 20},
-				Optimise: true,
+				GA: ga.Config{Seed: 7, Pop: 48, MaxGens: 80, Stagnation: 20},
 			},
 		})
 		if err != nil {
@@ -181,43 +179,6 @@ func BenchmarkHybridTestGen(b *testing.B) {
 	b.ReportMetric(share*100, "heuristic-share-%")
 	b.ReportMetric(float64(gaEvals), "ga-evals")
 	b.ReportMetric(float64(mcSteps), "mc-steps")
-}
-
-// BenchmarkSymbolicLevers is the interleaved A/B for the three symbolic
-// speed levers — per-trap slicing, dynamic variable reordering and manager
-// pooling — on the heaviest query of the evaluation, the unoptimised
-// Table 2 model. Each iteration times the before configuration (all levers
-// off, the previous engine) and the after configuration (all levers on,
-// the default) back to back, so machine drift hits both sides equally.
-// speedup-x is before over after.
-func BenchmarkSymbolicLevers(b *testing.B) {
-	m, err := experiments.Table2UnoptModel()
-	if err != nil {
-		b.Fatal(err)
-	}
-	check := func(o mc.Options) {
-		res, err := mc.CheckSymbolic(m, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Reachable {
-			b.Fatal("table 2 target unreachable")
-		}
-	}
-	check(mc.Options{MaxSteps: 5000}) // warm-up: pays cache misses once
-	var before, after time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		check(mc.Options{MaxSteps: 5000, NoSlice: true, NoReorder: true, NoPool: true})
-		t1 := time.Now()
-		check(mc.Options{MaxSteps: 5000})
-		before += t1.Sub(t0)
-		after += time.Since(t1)
-	}
-	b.ReportMetric(float64(before.Milliseconds())/float64(b.N), "before-ms/op")
-	b.ReportMetric(float64(after.Milliseconds())/float64(b.N), "after-ms/op")
-	b.ReportMetric(before.Seconds()/after.Seconds(), "speedup-x")
 }
 
 // BenchmarkObserverOverhead measures the observability layer's cost on the
@@ -233,8 +194,7 @@ func BenchmarkObserverOverhead(b *testing.B) {
 			Bound:    6,
 			Obs:      ob,
 			TestGen: testgen.Config{
-				GA:       ga.Config{Seed: 7, Pop: 48, MaxGens: 80, Stagnation: 20},
-				Optimise: true,
+				GA: ga.Config{Seed: 7, Pop: 48, MaxGens: 80, Stagnation: 20},
 			},
 		})
 		if err != nil {
@@ -274,8 +234,7 @@ func BenchmarkJournalOverhead(b *testing.B) {
 			Exhaustive: true,
 			Journal:    j,
 			TestGen: testgen.Config{
-				GA:       ga.Config{Seed: 2005, Pop: 48, MaxGens: 80, Stagnation: 20},
-				Optimise: true,
+				GA: ga.Config{Seed: 2005, Pop: 48, MaxGens: 80, Stagnation: 20},
 			},
 		})
 		if err != nil {
@@ -329,8 +288,7 @@ func BenchmarkDistributed(b *testing.B) {
 		Bound:      8,
 		Exhaustive: true,
 		TestGen: testgen.Config{
-			GA:       ga.Config{Seed: 2005, Pop: 48, MaxGens: 80, Stagnation: 20},
-			Optimise: true,
+			GA: ga.Config{Seed: 2005, Pop: 48, MaxGens: 80, Stagnation: 20},
 		},
 	}
 	spec, err := NewLedgerSpec(src, opt)
@@ -473,8 +431,7 @@ func BenchmarkHybridTestGenParallel(b *testing.B) {
 			Bound:    6,
 			Workers:  workers,
 			TestGen: testgen.Config{
-				GA:       ga.Config{Seed: 7, Pop: 48, MaxGens: 80, Stagnation: 20},
-				Optimise: true,
+				GA: ga.Config{Seed: 7, Pop: 48, MaxGens: 80, Stagnation: 20},
 			},
 		})
 		if err != nil {

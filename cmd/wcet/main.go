@@ -3,16 +3,14 @@
 //
 //	wcet [-func name] [-bound b] [-exhaustive] [-seed n] [-timeout d] [-mc-timeout d]
 //	     [-journal file] [-resume] [-distribute n] [-agents addrs] [-cache dir]
-//	     [-watch] [-v] [-trace file] [-metrics file] [-status addr] [-pprof addr]
-//	     file.c
+//	     [-watch] [-v] [-trace file] [-metrics file] [-status addr] file.c
 //
 // The analysis report goes to stdout; diagnostics, errors and -v progress go
 // to stderr, so results stay pipeable. -trace writes a Chrome trace-event
-// file (load in chrome://tracing or https://ui.perfetto.dev), -metrics
-// writes the metrics registry as JSON, and -pprof serves net/http/pprof on
-// the given address for live CPU/heap profiling. Trace and metrics files are
-// written even when the analysis fails or panics, so a degraded run can be
-// diagnosed.
+// file (load in chrome://tracing or https://ui.perfetto.dev) and -metrics
+// writes the metrics registry as JSON; live CPU/heap profiles are under
+// -status's /debug/pprof. Trace and metrics files are written even when the
+// analysis fails or panics, so a degraded run can be diagnosed.
 //
 // -journal makes the run durable: every completed unit of work is appended
 // to the journal file before the pipeline moves on, so a run killed at any
@@ -112,8 +110,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -164,9 +160,6 @@ func run(args []string) (code int) {
 	workers := fs.Int("workers", 0, "parallel analysis workers (0 = one per CPU, 1 = serial); results are identical for every value")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the whole analysis (0 = none)")
 	mcTimeout := fs.Duration("mc-timeout", 0, "wall-clock budget per model-checker call (0 = none); an expired call degrades its path instead of failing the run")
-	noSlice := fs.Bool("no-slice", false, "disable the per-trap program slice before model checking (A/B baseline)")
-	noReorder := fs.Bool("no-reorder", false, "disable dynamic BDD variable reordering in the symbolic engine (A/B baseline)")
-	noPool := fs.Bool("no-pool", false, "allocate a fresh BDD manager per model-checker call instead of pooling (A/B baseline)")
 	journalFile := fs.String("journal", "", "append completed work units to this crash-safe journal; a killed run can be resumed with -resume")
 	resume := fs.Bool("resume", false, "replay finished units from the -journal file instead of discarding them")
 	cacheDir := fs.String("cache", "", "memoize per-path verdicts in this directory; later runs (of this or an edited program) replay verdicts whose sliced query is unchanged")
@@ -181,7 +174,6 @@ func run(args []string) (code int) {
 	metricsFile := fs.String("metrics", "", "write the metrics registry (counters, gauges, histograms) as JSON")
 	statusAddr := fs.String("status", "", "serve live run telemetry on this address (e.g. localhost:8080): /status, /metrics, /events, /debug/pprof")
 	statusAddrFile := fs.String("status-addr-file", "", "internal: write the bound -status address to this file (test hook for ephemeral ports)")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) during the analysis")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: wcet [flags] file.c")
 		fs.PrintDefaults()
@@ -270,13 +262,6 @@ func run(args []string) (code int) {
 		}
 	}
 
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "wcet: pprof:", err)
-			}
-		}()
-	}
 	if *traceFile != "" || *metricsFile != "" || *verbose || *statusAddr != "" {
 		cfg := wcet.ObserverConfig{}
 		if *verbose {
@@ -321,15 +306,7 @@ func run(args []string) (code int) {
 			Exhaustive: *exhaustive,
 			Workers:    *workers,
 			MCTimeout:  *mcTimeout,
-			TestGen: wcet.TestGenConfig{
-				GA:       wcet.GAConfig{Seed: *seed},
-				Optimise: true,
-				MC: wcet.MCOptions{
-					NoSlice:   *noSlice,
-					NoReorder: *noReorder,
-					NoPool:    *noPool,
-				},
-			},
+			TestGen:    wcet.TestGenConfig{GA: wcet.GAConfig{Seed: *seed}},
 		}
 	}
 

@@ -71,6 +71,11 @@ func TestUsageErrors(t *testing.T) {
 		{"distribute with cache", []string{"-distribute", "2", "-journal", j, "-cache", t.TempDir(), src}},
 		{"watch with journal", []string{"-watch", "-journal", j, src}},
 		{"agents without distribute", []string{"-agents", "127.0.0.1:1", src}},
+		// The engine configuration is fixed and profiles live under -status.
+		{"no-slice", []string{"-no-slice", src}},
+		{"no-reorder", []string{"-no-reorder", src}},
+		{"no-pool", []string{"-no-pool", src}},
+		{"pprof", []string{"-pprof", "127.0.0.1:0", src}},
 	}
 	for _, c := range cases {
 		if got := runQuiet(t, c.args...); got != exitUsage {

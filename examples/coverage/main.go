@@ -59,8 +59,7 @@ func main() {
 
 	for _, criterion := range []string{"branch", "statement"} {
 		cov, err := gen.Cover(criterion, testgen.Config{
-			GA:       ga.Config{Seed: 99},
-			Optimise: true,
+			GA: ga.Config{Seed: 99},
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -70,8 +69,7 @@ func main() {
 
 	fmt.Println("\nbranch-coverage test vectors:")
 	cov, err := gen.Cover("branch", testgen.Config{
-		GA:       ga.Config{Seed: 99},
-		Optimise: true,
+		GA: ga.Config{Seed: 99},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -44,8 +44,7 @@ func main() {
 		Bound:      4, // program segments with at most 4 paths are measured whole
 		Exhaustive: true,
 		TestGen: wcet.TestGenConfig{
-			GA:       wcet.GAConfig{Seed: 1},
-			Optimise: true,
+			GA: wcet.GAConfig{Seed: 1},
 		},
 	})
 	if err != nil {

@@ -43,9 +43,8 @@ func wiperOptions(workers int) core.Options {
 		Exhaustive: true,
 		Workers:    workers,
 		TestGen: testgen.Config{
-			GA:       ga.Config{Seed: 2005, Pop: 48, MaxGens: 80, Stagnation: 20},
-			Optimise: true,
-			Workers:  workers,
+			GA:      ga.Config{Seed: 2005, Pop: 48, MaxGens: 80, Stagnation: 20},
+			Workers: workers,
 		},
 	}
 }

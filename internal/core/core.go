@@ -112,14 +112,12 @@ func (o Options) withDefaults() Options {
 }
 
 // resolvedTestGen is the generator configuration the stages actually see:
-// the Section 3.2 optimisations always on, worker count and per-call
-// model-checker timeout filled from the top-level options. The journal
-// fingerprint digests exactly this resolved form, so every consumer
-// (analysis, frontier planning, distributed workers) must resolve the same
-// way.
+// worker count and per-call model-checker timeout filled from the
+// top-level options. The journal fingerprint digests exactly this resolved
+// form, so every consumer (analysis, frontier planning, distributed
+// workers) must resolve the same way.
 func (o Options) resolvedTestGen() testgen.Config {
 	tg := o.TestGen
-	tg.Optimise = true
 	if tg.Workers == 0 {
 		tg.Workers = o.Workers
 	}

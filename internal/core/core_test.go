@@ -32,8 +32,7 @@ void step(void) {
 func run(t *testing.T, opt Options) *Report {
 	t.Helper()
 	opt.TestGen = testgen.Config{
-		GA:       ga.Config{Seed: 5, Pop: 32, MaxGens: 40, Stagnation: 10},
-		Optimise: true,
+		GA: ga.Config{Seed: 5, Pop: 32, MaxGens: 40, Stagnation: 10},
 	}
 	rep, err := Analyze(coreSrc, opt)
 	if err != nil {
@@ -109,8 +108,7 @@ func TestLoopedProgramEndToEnd(t *testing.T) {
 		Bound:      1,
 		Exhaustive: true,
 		TestGen: testgen.Config{
-			GA:       ga.Config{Seed: 8, Pop: 32, MaxGens: 40, Stagnation: 10},
-			Optimise: true,
+			GA: ga.Config{Seed: 8, Pop: 32, MaxGens: 40, Stagnation: 10},
 		},
 	})
 	if err != nil {

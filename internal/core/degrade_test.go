@@ -15,7 +15,7 @@ import (
 // mcOnly sends every target to the model checker, so an injected
 // model-checker fault deterministically degrades every feasible path.
 func mcOnly() testgen.Config {
-	return testgen.Config{SkipGA: true, Optimise: true}
+	return testgen.Config{SkipGA: true}
 }
 
 func mcBudgetFault() context.Context {
@@ -119,7 +119,7 @@ func TestAnalyzeCtxCancelled(t *testing.T) {
 	cancel()
 	rep, err := AnalyzeCtx(ctx, coreSrc, Options{
 		FuncName: "step", Bound: 1,
-		TestGen: testgen.Config{GA: ga.Config{Seed: 5, Pop: 32, MaxGens: 40}, Optimise: true},
+		TestGen: testgen.Config{GA: ga.Config{Seed: 5, Pop: 32, MaxGens: 40}},
 	})
 	if !errors.Is(err, fail.ErrCancelled) {
 		t.Fatalf("got (%v, %v), want ErrCancelled", rep, err)

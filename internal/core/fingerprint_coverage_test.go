@@ -5,8 +5,9 @@ package core
 // the fingerprint when mutated, or sit on an explicit exclusion allowlist
 // with a stated reason. A field added to any of these structs without a
 // classification fails this test — which is the point: the v1 fingerprint
-// silently omitted the symbolic levers, the base environment and the cost
-// model maps, and each omission was a latent journal splice.
+// silently omitted the then-configurable symbolic levers, the base
+// environment and the cost model maps, and each omission was a latent
+// journal splice.
 
 import (
 	"reflect"
@@ -79,31 +80,22 @@ var fingerprintCoverage = map[reflect.Type]map[string]fieldSpec{
 			excluded: "results are worker-count invariant by construction",
 			mutate:   func(o *Options) { o.TestGen.Workers++ },
 		},
-		"SkipGA":   {mutate: func(o *Options) { o.TestGen.SkipGA = !o.TestGen.SkipGA }},
-		"SkipMC":   {mutate: func(o *Options) { o.TestGen.SkipMC = !o.TestGen.SkipMC }},
-		"Optimise": {mutate: func(o *Options) { o.TestGen.Optimise = !o.TestGen.Optimise }},
-		"MC":       {composite: true},
+		"SkipGA": {mutate: func(o *Options) { o.TestGen.SkipGA = !o.TestGen.SkipGA }},
+		"SkipMC": {mutate: func(o *Options) { o.TestGen.SkipMC = !o.TestGen.SkipMC }},
+		"MC":     {composite: true},
 		"Base": {mutate: func(o *Options) {
 			for d := range o.TestGen.Base {
 				o.TestGen.Base[d]++
 				return
 			}
 		}},
-		"Retry":             {composite: true},
-		"FailoverMaxStates": {mutate: func(o *Options) { o.TestGen.FailoverMaxStates++ }},
+		"Retry": {composite: true},
 	},
 	reflect.TypeOf(mc.Options{}): {
 		"MaxSteps":  {mutate: func(o *Options) { o.TestGen.MC.MaxSteps++ }},
 		"MaxStates": {mutate: func(o *Options) { o.TestGen.MC.MaxStates++ }},
 		"MaxNodes":  {mutate: func(o *Options) { o.TestGen.MC.MaxNodes++ }},
 		"Timeout":   {mutate: func(o *Options) { o.TestGen.MC.Timeout += time.Second }},
-		"NoSlice":   {mutate: func(o *Options) { o.TestGen.MC.NoSlice = !o.TestGen.MC.NoSlice }},
-		"NoReorder": {mutate: func(o *Options) { o.TestGen.MC.NoReorder = !o.TestGen.MC.NoReorder }},
-		"NoPool":    {mutate: func(o *Options) { o.TestGen.MC.NoPool = !o.TestGen.MC.NoPool }},
-		// Digested by presence only: the learned contents are mutable
-		// in-process state, but a run with a book must never splice with one
-		// without (seeding changes node statistics).
-		"Orders": {mutate: func(o *Options) { o.TestGen.MC.Orders = mc.NewOrderBook() }},
 	},
 	reflect.TypeOf(ga.Config{}): {
 		"Pop":            {mutate: func(o *Options) { o.TestGen.GA.Pop++ }},
@@ -182,12 +174,10 @@ func (fx *fpFixture) baseline(t *testing.T) Options {
 				Pop: 10, MaxGens: 20, Stagnation: 5, MutRate: 0.25,
 				CrossRate: 0.75, Tournament: 4, Seed: 7, MaxEvaluations: 999,
 			},
-			Workers:           2,
-			Optimise:          true,
-			MC:                mc.Options{MaxSteps: 100, MaxStates: 200, MaxNodes: 300, Timeout: time.Second},
-			Base:              interp.Env{fx.global(t, "r"): 3},
-			Retry:             retry.Policy{MaxAttempts: 2, BackoffBase: 1},
-			FailoverMaxStates: 500,
+			Workers: 2,
+			MC:      mc.Options{MaxSteps: 100, MaxStates: 200, MaxNodes: 300, Timeout: time.Second},
+			Base:    interp.Env{fx.global(t, "r"): 3},
+			Retry:   retry.Policy{MaxAttempts: 2, BackoffBase: 1},
 		},
 		SimOptions: sim.Options{
 			MaxInstructions: 1000,

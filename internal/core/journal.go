@@ -18,16 +18,13 @@ import (
 // of: the program (canonically printed), the analysed function, and every
 // option a GA search or model-checker verdict depends on — partition bound
 // (it decides the targets), generator configuration (GA scalars,
-// model-checker budgets and symbolic-engine levers, base environment,
-// retry policy, failover cap) and the per-call model-checker timeout.
+// model-checker budgets, base environment, retry policy) and the per-call
+// model-checker timeout.
 // Workers is deliberately excluded: results are worker-count invariant by
 // construction, so a run started with -workers 8 may resume with
 // -workers 1 and vice versa. Function fields (Stop, OnTrace, Obs) are
 // excluded for the same reason they are banned from reports: they carry no
-// deterministic identity. An attached mc.OrderBook is digested by presence
-// only — its learned contents are mutable in-process state that cannot
-// define a stable identity, but a run with a book must never splice with
-// one without (learned orders change node statistics).
+// deterministic identity.
 //
 // Version history: v1 omitted the symbolic levers (NoSlice/NoReorder/
 // NoPool), the base environment, the order-book presence and the cost
@@ -40,22 +37,23 @@ import (
 // so it resets instead of splicing them into a forward-engine report. v4
 // journals generation units only: measurement is recomputed on every run,
 // so the exhaustive settings and the simulator's cost model left the
-// identity, and a journal now resumes across them.
+// identity, and a journal now resumes across them. v5 drops the terms of
+// settings that no longer exist — the symbolic levers, the order-book
+// presence, the optimise switch and the failover cap: the engine
+// configuration is fixed and only its budgets remain in the identity.
 func fingerprint(file *ast.File, fn *ast.FuncDecl, g *cfg.Graph, opt Options, tg testgen.Config) string {
 	h := fnv.New64a()
 	put := func(format string, args ...any) { fmt.Fprintf(h, format, args...) }
-	put("wcet-journal-v4\x00")
+	put("wcet-journal-v5\x00")
 	io.WriteString(h, ast.Print(file))
 	put("\x00fn=%s blocks=%d\x00", fn.Name, g.NumNodes())
 	put("bound=%d mctimeout=%d\x00", opt.Bound, opt.MCTimeout)
 	put("ga seed=%d pop=%d gens=%d stag=%d mut=%g cross=%g tour=%d maxeval=%d\x00",
 		tg.GA.Seed, tg.GA.Pop, tg.GA.MaxGens, tg.GA.Stagnation,
 		tg.GA.MutRate, tg.GA.CrossRate, tg.GA.Tournament, tg.GA.MaxEvaluations)
-	put("tg skipga=%v skipmc=%v optimise=%v failover=%d\x00",
-		tg.SkipGA, tg.SkipMC, tg.Optimise, tg.FailoverMaxStates)
-	put("mc steps=%d states=%d nodes=%d timeout=%d noslice=%v noreorder=%v nopool=%v orders=%v\x00",
-		tg.MC.MaxSteps, tg.MC.MaxStates, tg.MC.MaxNodes, tg.MC.Timeout,
-		tg.MC.NoSlice, tg.MC.NoReorder, tg.MC.NoPool, tg.MC.Orders != nil)
+	put("tg skipga=%v skipmc=%v\x00", tg.SkipGA, tg.SkipMC)
+	put("mc steps=%d states=%d nodes=%d timeout=%d\x00",
+		tg.MC.MaxSteps, tg.MC.MaxStates, tg.MC.MaxNodes, tg.MC.Timeout)
 	// The base environment pins non-input initial values in every checked
 	// model and seeds every recorded environment; serialized by name like
 	// the journal codec's environments.

@@ -33,9 +33,8 @@ func zeroDurations(rep *testgen.Report) {
 
 func wiperTestGenConfig(workers int) testgen.Config {
 	return testgen.Config{
-		GA:       ga.Config{Seed: 2005, Pop: 48, MaxGens: 80, Stagnation: 20},
-		Optimise: true,
-		Workers:  workers,
+		GA:      ga.Config{Seed: 2005, Pop: 48, MaxGens: 80, Stagnation: 20},
+		Workers: workers,
 	}
 }
 

@@ -221,8 +221,7 @@ func CaseStudyWorkers(workers int) (*CaseStudyResult, error) {
 		Exhaustive: true,
 		Workers:    workers,
 		TestGen: testgen.Config{
-			GA:       ga.Config{Seed: 2005, Pop: 48, MaxGens: 80, Stagnation: 20},
-			Optimise: true,
+			GA: ga.Config{Seed: 2005, Pop: 48, MaxGens: 80, Stagnation: 20},
 		},
 	})
 	if err != nil {

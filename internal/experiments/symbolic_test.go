@@ -2,34 +2,20 @@ package experiments
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"wcet/internal/core"
 	"wcet/internal/mc"
-	"wcet/internal/testgen"
 )
 
-// End-to-end pins for the three symbolic-speed levers (per-trap slicing,
-// dynamic variable reordering, manager pooling) on the wiper case study.
-// The levers are on by default; these tests force reordering to actually
-// fire (the default trigger is sized for Table 2 workloads, not the wiper
-// toys) and check the determinism contract the levers must not break:
-// canonical reports are byte-identical across worker counts, and turning
-// every lever off changes performance counters only, never the analysis.
-
-func leverConfig(workers int, off bool) core.Options {
-	tg := wiperTestGenConfig(workers)
-	tg.MC.NoSlice = off
-	tg.MC.NoReorder = off
-	tg.MC.NoPool = off
-	return core.Options{
-		Bound:      8,
-		Exhaustive: true,
-		Workers:    workers,
-		TestGen:    tg,
-	}
-}
+// End-to-end pin for the symbolic-speed levers (per-trap slicing, dynamic
+// variable reordering, manager pooling) on the wiper case study. The
+// levers are always on; this test forces reordering to actually fire (the
+// default trigger is sized for Table 2 workloads, not the wiper toys) and
+// checks the determinism contract the levers must not break: canonical
+// reports are byte-identical across worker counts and run over run. The
+// mc differential suites compare each lever against the engine without
+// it.
 
 func TestLeversCanonicalReportDeterministicAcrossWorkers(t *testing.T) {
 	// Lower the reorder trigger so sifting fires during the analysis; the
@@ -38,7 +24,9 @@ func TestLeversCanonicalReportDeterministicAcrossWorkers(t *testing.T) {
 	defer mc.SetReorderMin(old)
 	file, fn, g := wiperGraph(t)
 	run := func(workers int) []byte {
-		rep, err := core.AnalyzeGraph(file, fn, g, leverConfig(workers, false))
+		rep, err := core.AnalyzeGraph(file, fn, g, core.Options{
+			Bound: 8, Exhaustive: true, Workers: workers, TestGen: wiperTestGenConfig(workers),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,85 +41,5 @@ func TestLeversCanonicalReportDeterministicAcrossWorkers(t *testing.T) {
 	// And re-running the same configuration must reproduce it exactly.
 	if again := run(8); !bytes.Equal(parallel, again) {
 		t.Error("canonical report not reproducible run over run with all levers on")
-	}
-}
-
-// TestLeversOffSameAnalysis: the levers are pure performance levers — with
-// all three disabled the analysis (WCET bound, verdicts, witnesses, step
-// counts) must be unchanged; only node/memory statistics may move.
-func TestLeversOffSameAnalysis(t *testing.T) {
-	old := mc.SetReorderMin(256)
-	defer mc.SetReorderMin(old)
-	file, fn, g := wiperGraph(t)
-	run := func(off bool) *core.Report {
-		rep, err := core.AnalyzeGraph(file, fn, g, leverConfig(4, off))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	on := run(false)
-	offRep := run(true)
-	if on.WCET != offRep.WCET {
-		t.Errorf("levers changed the WCET bound: %d (on) vs %d (off)", on.WCET, offRep.WCET)
-	}
-	if on.ExhaustiveWCET != offRep.ExhaustiveWCET {
-		t.Errorf("levers changed the exhaustive WCET: %d vs %d", on.ExhaustiveWCET, offRep.ExhaustiveWCET)
-	}
-	if len(on.TestGen.Results) != len(offRep.TestGen.Results) {
-		t.Fatalf("levers changed the result count: %d vs %d",
-			len(on.TestGen.Results), len(offRep.TestGen.Results))
-	}
-	for i, r := range on.TestGen.Results {
-		o := offRep.TestGen.Results[i]
-		if r.Verdict != o.Verdict {
-			t.Errorf("result %d: verdict differs: %v (on) vs %v (off)", i, r.Verdict, o.Verdict)
-		}
-		if !reflect.DeepEqual(r.Env, o.Env) {
-			t.Errorf("result %d: test datum differs with levers on vs off", i)
-		}
-	}
-}
-
-// TestLeverFlagsReachPipeline: the testgen config actually feeds the levers
-// — a levers-off run must report zero reorders and larger (or equal) peak
-// node counts than the levered run on at least one model-checked path.
-func TestLeverFlagsReachPipeline(t *testing.T) {
-	old := mc.SetReorderMin(256)
-	defer mc.SetReorderMin(old)
-	file, fn, g := wiperGraph(t)
-	gen := testgen.New(file, fn, g)
-	targets := testgen.BranchTargets(g)
-	run := func(off bool) *testgen.Report {
-		conf := wiperTestGenConfig(4)
-		conf.MC.NoSlice = off
-		conf.MC.NoReorder = off
-		conf.MC.NoPool = off
-		rep, err := gen.Generate(targets, conf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	offRep := run(true)
-	for i, r := range offRep.Results {
-		if r.MCStats.Reorders != 0 {
-			t.Errorf("result %d: levers-off run reports %d reorders", i, r.MCStats.Reorders)
-		}
-	}
-	onRep := run(false)
-	shrunk := false
-	for i, r := range onRep.Results {
-		o := offRep.Results[i]
-		if r.MCStats.StateBits > 0 && r.MCStats.StateBits < o.MCStats.StateBits {
-			shrunk = true
-		}
-		if r.MCStats.StateBits > o.MCStats.StateBits {
-			t.Errorf("result %d: slice grew the state vector: %d vs %d",
-				i, r.MCStats.StateBits, o.MCStats.StateBits)
-		}
-	}
-	if !shrunk {
-		t.Error("slicing never shrank a checked state vector on the wiper study")
 	}
 }

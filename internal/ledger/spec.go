@@ -3,8 +3,8 @@ package ledger
 // Spec is the serializable analysis description a coordinator ships to
 // its worker processes. It carries the source text plus every
 // deterministic option — explicitly, field by field, because the Options
-// tree holds func-typed and pointer fields (GA hooks, observer, order
-// book, cost model) that cannot cross a process boundary. SpecFor rejects
+// tree holds func-typed and pointer fields (GA hooks, observer, cost
+// model) that cannot cross a process boundary. SpecFor rejects
 // options that set any of those: a distributed run supports exactly the
 // options whose identity the journal fingerprint can pin. A reflection
 // test keeps this file honest when option structs grow fields.
@@ -47,12 +47,10 @@ type Spec struct {
 	MC             struct {
 		MaxSteps, MaxStates, MaxNodes int
 		Timeout                       time.Duration
-		NoSlice, NoReorder, NoPool    bool
 	}
-	RetryMaxAttempts  int
-	RetryBackoffBase  int
-	FailoverMaxStates int
-	MaxInstructions   int64
+	RetryMaxAttempts int
+	RetryBackoffBase int
+	MaxInstructions  int64
 
 	// Faults arms deterministic fault injection inside every worker — the
 	// chaos suites' lever. Empty for production runs.
@@ -97,15 +95,13 @@ func (s *Spec) rules() []faults.Rule {
 
 // SpecFor builds the spec for analysing src under opt, rejecting options
 // a worker process cannot reconstruct: runtime hooks (GA Stop/OnTrace),
-// non-serializable state (order book, custom cost model, verdict cache),
+// non-serializable state (custom cost model, verdict cache),
 // and run-scoped objects (journal, observer) that the coordinator owns.
 func SpecFor(src string, opt core.Options) (Spec, error) {
 	var zero Spec
 	switch {
 	case opt.TestGen.GA.Stop != nil || opt.TestGen.GA.OnTrace != nil || opt.TestGen.GA.Obs != nil:
 		return zero, fmt.Errorf("ledger: GA hooks (Stop/OnTrace/Obs) cannot cross a process boundary")
-	case opt.TestGen.MC.Orders != nil:
-		return zero, fmt.Errorf("ledger: a learned-order book is in-process state; distributed runs cannot share one")
 	case len(opt.TestGen.Base) != 0:
 		return zero, fmt.Errorf("ledger: a base environment binds AST declarations; distributed runs do not support one")
 	case opt.SimOptions.Costs != nil:
@@ -116,19 +112,18 @@ func SpecFor(src string, opt core.Options) (Spec, error) {
 		return zero, fmt.Errorf("ledger: set Config.JournalPath, not Options.Journal — the coordinator owns the canonical journal")
 	}
 	s := Spec{
-		Source:            src,
-		FuncName:          opt.FuncName,
-		Bound:             opt.Bound,
-		Exhaustive:        opt.Exhaustive,
-		MaxExhaustive:     opt.MaxExhaustive,
-		MCTimeout:         opt.MCTimeout,
-		Workers:           opt.Workers,
-		SkipGA:            opt.TestGen.SkipGA,
-		SkipMC:            opt.TestGen.SkipMC,
-		RetryMaxAttempts:  opt.TestGen.Retry.MaxAttempts,
-		RetryBackoffBase:  opt.TestGen.Retry.BackoffBase,
-		FailoverMaxStates: opt.TestGen.FailoverMaxStates,
-		MaxInstructions:   opt.SimOptions.MaxInstructions,
+		Source:           src,
+		FuncName:         opt.FuncName,
+		Bound:            opt.Bound,
+		Exhaustive:       opt.Exhaustive,
+		MaxExhaustive:    opt.MaxExhaustive,
+		MCTimeout:        opt.MCTimeout,
+		Workers:          opt.Workers,
+		SkipGA:           opt.TestGen.SkipGA,
+		SkipMC:           opt.TestGen.SkipMC,
+		RetryMaxAttempts: opt.TestGen.Retry.MaxAttempts,
+		RetryBackoffBase: opt.TestGen.Retry.BackoffBase,
+		MaxInstructions:  opt.SimOptions.MaxInstructions,
 	}
 	g := opt.TestGen.GA
 	s.GA.Pop, s.GA.MaxGens, s.GA.Stagnation, s.GA.Tournament = g.Pop, g.MaxGens, g.Stagnation, g.Tournament
@@ -137,7 +132,6 @@ func SpecFor(src string, opt core.Options) (Spec, error) {
 	m := opt.TestGen.MC
 	s.MC.MaxSteps, s.MC.MaxStates, s.MC.MaxNodes = m.MaxSteps, m.MaxStates, m.MaxNodes
 	s.MC.Timeout = m.Timeout
-	s.MC.NoSlice, s.MC.NoReorder, s.MC.NoPool = m.NoSlice, m.NoReorder, m.NoPool
 	return s, nil
 }
 
@@ -163,11 +157,9 @@ func (s *Spec) Options() core.Options {
 			SkipMC: s.SkipMC,
 			MC: mc.Options{
 				MaxSteps: s.MC.MaxSteps, MaxStates: s.MC.MaxStates, MaxNodes: s.MC.MaxNodes,
-				Timeout: s.MC.Timeout, NoSlice: s.MC.NoSlice, NoReorder: s.MC.NoReorder,
-				NoPool: s.MC.NoPool,
+				Timeout: s.MC.Timeout,
 			},
-			Retry:             retry.Policy{MaxAttempts: s.RetryMaxAttempts, BackoffBase: s.RetryBackoffBase},
-			FailoverMaxStates: s.FailoverMaxStates,
+			Retry: retry.Policy{MaxAttempts: s.RetryMaxAttempts, BackoffBase: s.RetryBackoffBase},
 		},
 	}
 }

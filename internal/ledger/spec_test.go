@@ -36,10 +36,9 @@ func serializableOptions() core.Options {
 				Pop: 11, MaxGens: 22, Stagnation: 33, MutRate: 0.125,
 				CrossRate: 0.75, Tournament: 4, Seed: 2005, MaxEvaluations: 5000,
 			},
-			SkipGA:            false,
-			SkipMC:            true,
-			Retry:             retry.Policy{MaxAttempts: 6, BackoffBase: 17},
-			FailoverMaxStates: 4242,
+			SkipGA: false,
+			SkipMC: true,
+			Retry:  retry.Policy{MaxAttempts: 6, BackoffBase: 17},
 		},
 	}
 }
@@ -76,7 +75,6 @@ func TestSpecForRejectsNonSerializableOptions(t *testing.T) {
 	}{
 		{"ga-stop-hook", func(o *core.Options) { o.TestGen.GA.Stop = func() bool { return false } }},
 		{"ga-trace-hook", func(o *core.Options) { o.TestGen.GA.OnTrace = func(interp.Env, *interp.Trace) {} }},
-		{"order-book", func(o *core.Options) { o.TestGen.MC.Orders = mc.NewOrderBook() }},
 		{"base-env", func(o *core.Options) { o.TestGen.Base = interp.Env{nil: 1} }},
 		{"cost-model", func(o *core.Options) { o.SimOptions.Costs = &isa.CostModel{} }},
 		{"vcache", func(o *core.Options) { o.Cache = &vcache.Store{} }},
@@ -93,9 +91,8 @@ func TestSpecForRejectsNonSerializableOptions(t *testing.T) {
 // TestSpecCoversOptionSurface is the tripwire that keeps spec.go honest:
 // every field of every option struct the spec flattens must be classified
 // here — serialized (round-trips through SpecFor/Options), recursed
-// (a nested struct whose own fields are classified), resolved (forced by
-// the pipeline, carrying no information), run-scoped (owned by the
-// coordinator, never shipped), or rejected (SpecFor errors on it). A new
+// (a nested struct whose own fields are classified), run-scoped (owned by
+// the coordinator, never shipped), or rejected (SpecFor errors on it). A new
 // field in any of these structs fails this test until the spec gains it
 // or this table consciously excludes it.
 func TestSpecCoversOptionSurface(t *testing.T) {
@@ -108,8 +105,8 @@ func TestSpecCoversOptionSurface(t *testing.T) {
 		},
 		reflect.TypeOf(testgen.Config{}): {
 			"GA": "recursed", "Workers": "serialized", "SkipGA": "serialized",
-			"SkipMC": "serialized", "Optimise": "resolved", "MC": "recursed",
-			"Base": "rejected", "Retry": "recursed", "FailoverMaxStates": "serialized",
+			"SkipMC": "serialized", "MC": "recursed",
+			"Base": "rejected", "Retry": "recursed",
 		},
 		reflect.TypeOf(ga.Config{}): {
 			"Pop": "serialized", "MaxGens": "serialized", "Stagnation": "serialized",
@@ -119,8 +116,7 @@ func TestSpecCoversOptionSurface(t *testing.T) {
 		},
 		reflect.TypeOf(mc.Options{}): {
 			"MaxSteps": "serialized", "MaxStates": "serialized", "MaxNodes": "serialized",
-			"Timeout": "serialized", "NoSlice": "serialized", "NoReorder": "serialized",
-			"NoPool": "serialized", "Orders": "rejected",
+			"Timeout": "serialized",
 		},
 		reflect.TypeOf(sim.Options{}): {
 			"MaxInstructions": "serialized", "Costs": "rejected",

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -10,9 +11,17 @@ import (
 
 // Differential tests for the three symbolic-speed levers: per-trap slicing,
 // dynamic variable reordering, and manager pooling. Each lever must be
-// invisible to verdicts and witnesses (checked against the unlevered
-// engine and by concrete replay on the explicit engine), and pooling and
-// order handoff must additionally be invisible to deterministic statistics.
+// invisible to verdicts and witnesses (checked against the engine with the
+// lever off and by concrete replay on the explicit engine), and pooling
+// must additionally be invisible to deterministic statistics.
+
+// checkWith is CheckSymbolic with the given levers switched off — the
+// reference modes production never runs.
+func checkWith(m *tsys.Model, lv levers) (*Result, error) {
+	q := newQuery(m, Options{}, lv, false)
+	defer q.Close()
+	return q.CheckCtx(context.Background())
+}
 
 // confirmWitness pins a witness into a clone of the model and requires the
 // trap to stay explicitly reachable — the concrete validity check shared
@@ -100,7 +109,7 @@ func TestSlicedVsUnslicedAgree(t *testing.T) {
 		if ps.BitsAfter < ps.BitsBefore || ps.EdgesAfter < ps.EdgesBefore {
 			shrunk++
 		}
-		full, err := CheckSymbolic(m, Options{NoSlice: true})
+		full, err := checkWith(m, levers{noSlice: true})
 		if err != nil {
 			t.Fatalf("trial %d: unsliced: %v", trial, err)
 		}
@@ -145,7 +154,7 @@ func TestReorderedVsStaticAgree(t *testing.T) {
 	reordered, reachable := 0, 0
 	for trial := 0; trial < trials; trial++ {
 		m := randModel(rng)
-		static, err := CheckSymbolic(m, Options{NoReorder: true})
+		static, err := checkWith(m, levers{noReorder: true})
 		if err != nil {
 			t.Fatalf("trial %d: static: %v", trial, err)
 		}
@@ -198,7 +207,7 @@ func TestPooledVsFreshIdentical(t *testing.T) {
 	}
 	for trial := 0; trial < 25; trial++ {
 		m := randModel(rng)
-		fresh, err := CheckSymbolic(m, Options{NoPool: true})
+		fresh, err := checkWith(m, levers{noPool: true})
 		if err != nil {
 			t.Fatalf("trial %d: fresh: %v", trial, err)
 		}
@@ -224,57 +233,4 @@ func TestPooledVsFreshIdentical(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestOrderBookHandoff: a learned order seeds the next query for the same
-// model. The seeded run must agree on the verdict and, run twice, must
-// reproduce its own statistics exactly — the handoff is deterministic.
-func TestOrderBookHandoff(t *testing.T) {
-	old := SetReorderMin(64)
-	defer SetReorderMin(old)
-	rng := rand.New(rand.NewSource(31337))
-	book := NewOrderBook()
-	handedOff := 0
-	for trial := 0; trial < 40; trial++ {
-		m := randModel(rng)
-		cold, err := CheckSymbolic(m, Options{})
-		if err != nil {
-			t.Fatalf("trial %d: cold: %v", trial, err)
-		}
-		first, err := CheckSymbolic(m, Options{Orders: book})
-		if err != nil {
-			t.Fatalf("trial %d: learn: %v", trial, err)
-		}
-		seeded, err := CheckSymbolic(m, Options{Orders: book})
-		if err != nil {
-			t.Fatalf("trial %d: seeded: %v", trial, err)
-		}
-		if cold.Reachable != seeded.Reachable || first.Reachable != seeded.Reachable {
-			t.Fatalf("trial %d: order handoff changed the verdict", trial)
-		}
-		if first.Stats.Reorders > 0 && seeded.Stats.Reorders == 0 {
-			handedOff++
-		}
-		again, err := CheckSymbolic(m, Options{Orders: book})
-		if err != nil {
-			t.Fatalf("trial %d: seeded repeat: %v", trial, err)
-		}
-		if again.Stats != seededStatsNoDuration(seeded.Stats, again.Stats) {
-			t.Fatalf("trial %d: seeded stats not reproducible: %+v vs %+v",
-				trial, again.Stats, seeded.Stats)
-		}
-		if seeded.Reachable {
-			confirmWitness(t, trial, m, seeded.Witness)
-		}
-	}
-	if handedOff == 0 {
-		t.Error("no trial skipped a reorder via the book; the handoff is not being exercised")
-	}
-}
-
-// seededStatsNoDuration returns want with the wall-clock field replaced by
-// got's, so a struct compare covers every deterministic field.
-func seededStatsNoDuration(want, got Stats) Stats {
-	want.Duration = got.Duration
-	return want
 }

@@ -68,28 +68,36 @@ func overlapModel() *tsys.Model {
 // the forward engine decided it and whether it fell back to reachability.
 func dispatched(t *testing.T, ctx context.Context, m *tsys.Model, opt Options) (res *Result, forward, fellBack bool, err error) {
 	t.Helper()
+	return dispatchedWith(t, ctx, m, opt, levers{})
+}
+
+// dispatchedWith is dispatched with the given levers switched off.
+func dispatchedWith(t *testing.T, ctx context.Context, m *tsys.Model, opt Options, lv levers) (res *Result, forward, fellBack bool, err error) {
+	t.Helper()
 	o := obs.New(obs.Config{})
-	res, err = CheckCtx(obs.With(ctx, o), m, opt)
+	q := newQuery(m, opt, lv, true)
+	defer q.Close()
+	res, err = q.CheckCtx(obs.With(ctx, o))
 	reg := o.Metrics()
 	return res, reg.Value("mc.forward.decided") == 1, reg.Value("mc.forward.fallbacks") == 1, err
 }
 
 func TestForwardDecidesAcyclicModel(t *testing.T) {
-	for _, opt := range []Options{{}, {NoSlice: true}, {NoPool: true}} {
+	for _, lv := range []levers{{}, {noSlice: true}, {noPool: true}} {
 		m := diamondModel()
-		ref, err := CheckSymbolic(m, opt)
+		ref, err := checkWith(m, lv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, forward, fellBack, err := dispatched(t, context.Background(), m, opt)
+		res, forward, fellBack, err := dispatchedWith(t, context.Background(), m, Options{}, lv)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !forward || fellBack {
-			t.Fatalf("%+v: forward=%v fellBack=%v, want the forward engine to decide", opt, forward, fellBack)
+			t.Fatalf("%+v: forward=%v fellBack=%v, want the forward engine to decide", lv, forward, fellBack)
 		}
 		if !res.Reachable || !ref.Reachable {
-			t.Fatalf("%+v: forward %v, reachability %v; want both reachable", opt, res.Reachable, ref.Reachable)
+			t.Fatalf("%+v: forward %v, reachability %v; want both reachable", lv, res.Reachable, ref.Reachable)
 		}
 		confirmWitness(t, 0, m, res.Witness)
 		if got := res.Witness[1]; got > 9 {

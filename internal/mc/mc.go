@@ -20,6 +20,14 @@
 // shape decides. CheckSymbolic and NewSymbolicQuery always use
 // reachability.
 //
+// Configuration: Options carries budgets only. The symbolic engine always
+// slices the model to its trap (opt.SliceTrap on a private clone, so
+// witnesses omit sliced-away inputs, any value of which extends a
+// trap-reaching run), reorders variables dynamically when the table grows,
+// and leases its BDD manager from a pool. None of these changes a verdict;
+// the differential suites switch each off through a test-only constructor
+// and compare.
+//
 // Engine state is per-query: every check builds its own encoding and BDD
 // manager (managers are not goroutine-safe) and returns its Stats by value
 // in the Result, so independent checks may run concurrently. The only
@@ -52,8 +60,7 @@ type Stats struct {
 	MemoryBytes int64
 	// Reorders counts the dynamic variable reorders the symbolic engine
 	// applied — sifting rounds that found a better order (zero when
-	// reordering is disabled, never triggered, or — typically after an
-	// order-book seed — found nothing to improve).
+	// reordering never triggered or found nothing to improve).
 	Reorders int
 	// Duration is the wall-clock simulation time.
 	Duration time.Duration
@@ -76,10 +83,10 @@ type Result struct {
 	Stats   Stats
 }
 
-// Options bound a run. Exhausting any bound is a structured
-// fail.ErrBudgetExceeded error, never a silent "unreachable": a truncated
-// search proves nothing, and reporting it as infeasibility would make the
-// final WCET bound unsound.
+// Options bound a run; budgets are the engines' only settings. Exhausting
+// any bound is a structured fail.ErrBudgetExceeded error, never a silent
+// "unreachable": a truncated search proves nothing, and reporting it as
+// infeasibility would make the final WCET bound unsound.
 type Options struct {
 	// MaxSteps aborts the search after this many frontier expansions
 	// (default 10000). Zero or negative selects the default: a negative
@@ -97,30 +104,6 @@ type Options struct {
 	// fail.ErrBudgetExceeded; the paper's model-checker runs "may take
 	// minutes to hours", so production pipelines set this per path.
 	Timeout time.Duration
-	// NoSlice disables the per-trap program slice the symbolic engine
-	// applies before encoding: with it set, the model is checked exactly as
-	// given. The slice (opt.SliceTrap on a private clone) removes variables
-	// and transitions that cannot influence trap reachability, so it never
-	// changes the verdict; witnesses then omit sliced-away inputs, whose
-	// every value extends a trap-reaching run. The flag exists for A/B
-	// baselines and for checking a model verbatim.
-	NoSlice bool
-	// NoReorder disables dynamic variable reordering in the symbolic
-	// engine: the build-time interleaved order is kept for the whole query.
-	NoReorder bool
-	// NoPool makes the symbolic engine allocate a fresh BDD manager instead
-	// of leasing one from the shared pool. Results and deterministic stats
-	// are identical either way; the flag exists for A/B benchmarks and for
-	// bisecting kernel issues.
-	NoPool bool
-	// Orders, when non-nil, is a learned-order book: a successful query
-	// records its final variable order under the model's structural
-	// fingerprint, and a later query for an identical model seeds its
-	// manager with that order instead of rediscovering it. Share a book
-	// only across sequential queries — seeding changes a query's node
-	// counts, so a book shared across concurrently-checked models would
-	// make canonical statistics depend on scheduling.
-	Orders *OrderBook
 }
 
 func (o Options) withDefaults() Options {

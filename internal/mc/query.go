@@ -3,7 +3,6 @@ package mc
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"wcet/internal/bdd"
@@ -47,77 +46,36 @@ const reorderGrowth = 4
 // large, the order is not the fixable problem.
 const reorderMax = 100_000
 
-// OrderBook carries learned variable orders between sequential queries,
-// keyed by the model's structural fingerprint. Identical fingerprints mean
-// structurally identical models (tsys.Fingerprint hashes the full model),
-// for which the deterministic sifting would rediscover the same order —
-// the book just skips the rediscovery. A successful query records its
-// final order; a later query for the same model seeds its manager with it.
-//
-// The book is safe for concurrent use, but sharing one across queries for
-// *different* models that run concurrently is pointless (fingerprints
-// differ), and callers must never let a book introduce a scheduling
-// dependence into canonical statistics — the pipeline therefore only wires
-// books across strictly sequential query chains.
-type OrderBook struct {
-	mu     sync.Mutex
-	orders map[uint64][]int32
-}
-
-// NewOrderBook returns an empty book.
-func NewOrderBook() *OrderBook {
-	return &OrderBook{orders: map[uint64][]int32{}}
-}
-
-// get returns a copy of the learned order for fp, or nil if the book has
-// none (or the recorded order is for a different variable count, which
-// would mean a fingerprint collision — seeding is then skipped).
-func (b *OrderBook) get(fp uint64, nvars int) []int32 {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	o := b.orders[fp]
-	if len(o) != nvars {
-		return nil
-	}
-	return append([]int32(nil), o...)
-}
-
-// learn records the order for fp. First write wins: sifting is
-// deterministic, so any later value for the same fingerprint is the same
-// order rediscovered.
-func (b *OrderBook) learn(fp uint64, order []int32) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if _, ok := b.orders[fp]; !ok {
-		b.orders[fp] = append([]int32(nil), order...)
-	}
+// levers switches off the symbolic engine's speed levers — the per-trap
+// slice, dynamic variable reordering and manager pooling — so the
+// differential suites and the lever benchmark can compare the engine with
+// and without each one. No lever changes a verdict. The public
+// constructors always pass the zero value: every lever on.
+type levers struct {
+	noSlice   bool // check the model exactly as given
+	noReorder bool // keep the build-time interleaved order for the whole query
+	noPool    bool // allocate a fresh BDD manager instead of leasing a pooled one
 }
 
 // SymbolicQuery is a reusable symbolic query against one model, decided by
 // reachability (NewSymbolicQuery) or by the engine the model's shape
 // selects (NewQuery). It exists so retry loops stop paying the per-attempt
-// setup: the model pointer, options and fingerprint persist across CheckCtx
-// calls, and the expensive state — manager lease, bit-blasted transition
-// relations or the forward pass's order — is built lazily on first use, so
-// an attempt that fails before reaching the engine (the common
-// transient-fault shape) costs the next attempt nothing.
+// setup: the model pointer and options persist across CheckCtx calls, and
+// the expensive state — manager lease, bit-blasted transition relations or
+// the forward pass's order — is built lazily on first use, so an attempt
+// that fails before reaching the engine (the common transient-fault shape)
+// costs the next attempt nothing.
 //
 // Determinism contract: a CheckCtx that returns an error releases every
-// piece of built state, and learned-order updates are committed only on
-// success. A retry therefore rebuilds from scratch and reports exactly the
-// statistics a first-try success would have reported — crucial because
-// canonical reports include per-path node counts, and a wall-clock expiry
-// (which the retry policy retries) aborts at a nondeterministic point.
+// piece of built state. A retry therefore rebuilds from scratch and
+// reports exactly the statistics a first-try success would have reported —
+// crucial because canonical reports include per-path node counts, and a
+// wall-clock expiry (which the retry policy retries) aborts at a
+// nondeterministic point.
 type SymbolicQuery struct {
 	model *tsys.Model
 	opt   Options
-	fp    uint64
+	lv    levers
 
 	e       *encoding
 	rels    []bdd.Ref
@@ -126,8 +84,8 @@ type SymbolicQuery struct {
 	health0 bdd.Health
 
 	// sliceBits/sliceEdges record what the per-trap slice removed (zero
-	// with NoSlice) — deterministic functions of the model, reported once
-	// per successful check.
+	// with the slice lever off) — deterministic functions of the model,
+	// reported once per successful check.
 	sliceBits  int64
 	sliceEdges int64
 
@@ -159,7 +117,7 @@ type SymbolicQuery struct {
 // NewSymbolicQuery prepares a reachability query for the model. Nothing is
 // built until the first CheckCtx call; Close releases whatever was built.
 func NewSymbolicQuery(model *tsys.Model, opt Options) *SymbolicQuery {
-	return &SymbolicQuery{model: model, opt: opt.withDefaults(), fp: model.Fingerprint()}
+	return newQuery(model, opt, levers{}, false)
 }
 
 // NewQuery prepares a query that picks its engine from the model: the
@@ -168,9 +126,13 @@ func NewSymbolicQuery(model *tsys.Model, opt Options) *SymbolicQuery {
 // the forward pass meets overlapping join conditions. Verdicts are the
 // same either way; statistics are those of the engine that decided.
 func NewQuery(model *tsys.Model, opt Options) *SymbolicQuery {
-	q := NewSymbolicQuery(model, opt)
-	q.tryForward = true
-	return q
+	return newQuery(model, opt, levers{}, true)
+}
+
+// newQuery is the one constructor: forward selects NewQuery's engine
+// dispatch, and only tests pass levers other than the zero value.
+func newQuery(model *tsys.Model, opt Options, lv levers, forward bool) *SymbolicQuery {
+	return &SymbolicQuery{model: model, opt: opt.withDefaults(), lv: lv, tryForward: forward}
 }
 
 // CheckCtx is a one-shot NewQuery check.
@@ -199,7 +161,7 @@ func (q *SymbolicQuery) release() {
 	q.trap, q.init = bdd.False, bdd.False
 	q.reorderBase, q.reorderDone, q.reorders, q.nodesFreed = 0, false, 0, 0
 	q.sliceBits, q.sliceEdges = 0, 0
-	if !q.opt.NoPool {
+	if !q.lv.noPool {
 		managers.Put(m)
 	}
 }
@@ -216,9 +178,9 @@ func (q *SymbolicQuery) manager() *bdd.Manager {
 }
 
 // acquire leases a manager for n variables from the pool, or allocates a
-// fresh one under NoPool.
+// fresh one with the pooling lever off.
 func (q *SymbolicQuery) acquire(n int) *bdd.Manager {
-	if q.opt.NoPool {
+	if q.lv.noPool {
 		return bdd.New(n)
 	}
 	return managers.Get(n)
@@ -227,15 +189,14 @@ func (q *SymbolicQuery) acquire(n int) *bdd.Manager {
 // build slices the model to the trap query (unless disabled) and builds
 // the engine that decides it. For the forward engine that is the
 // topological order and the initial state. For reachability it leases a
-// manager, seeds it with a learned order if the book has one for this
-// model, and bit-blasts the transition relations, trap and initial-state
+// manager and bit-blasts the transition relations, trap and initial-state
 // predicates; reordering may trigger between relation builds, where the
 // relations built so far are the entire live set.
 func (q *SymbolicQuery) build() error {
 	model := q.model
-	if !q.opt.NoSlice {
+	if !q.lv.noSlice {
 		// The slice mutates, so it runs on a private clone; the caller's
-		// model and the query fingerprint stay those of the full model.
+		// model stays the full model.
 		model = model.Clone()
 		ps := opt.SliceTrap(model)
 		q.sliceBits = int64(ps.BitsBefore - ps.BitsAfter)
@@ -256,9 +217,6 @@ func (q *SymbolicQuery) build() error {
 	e := newEncoding(model, q.acquire)
 	m := e.m
 	q.health0 = m.Health()
-	if o := q.opt.Orders.get(q.fp, m.NumVars()); o != nil {
-		m.SetOrder(o)
-	}
 	m.SetNodeLimit(q.opt.MaxNodes)
 	q.e = e
 	q.reorderBase = m.NodeCount()
@@ -302,7 +260,7 @@ func (q *SymbolicQuery) relRoots(extra []*bdd.Ref) []*bdd.Ref {
 // plateaued, and repeating it at every growth step would cost more than
 // the residual gain.
 func (q *SymbolicQuery) maybeReorder(roots func() []*bdd.Ref) {
-	if q.opt.NoReorder || q.reorderDone {
+	if q.lv.noReorder || q.reorderDone {
 		return
 	}
 	m := q.e.m
@@ -345,6 +303,15 @@ func (q *SymbolicQuery) CheckCtx(ctx context.Context) (res *Result, err error) {
 	o := obs.From(ctx)
 	o.Count("mc.calls", 1)
 	msp := o.SpanV("mc", "mc.symbolic")
+	// A failed call ends its span too, tagged with the error kind: budget
+	// exhaustion and timeouts are the costliest calls a trace can show.
+	// Registered first, this runs after the recover below has turned a
+	// node-budget panic into err.
+	defer func() {
+		if err != nil {
+			msp.End("error", fail.KindLabel(err))
+		}
+	}()
 	if q.model.Trap == tsys.NoLoc {
 		return nil, fail.Infra("mc", fmt.Errorf("model has no trap location"))
 	}
@@ -522,9 +489,5 @@ func (q *SymbolicQuery) checkReach(ctx context.Context, o *obs.Observer) (*Resul
 		}
 		res.Witness = w
 	}
-	// The query succeeded: commit the final order to the book. Failed
-	// attempts never reach this point, so a book only ever carries orders
-	// learned at deterministic completion points.
-	q.opt.Orders.learn(q.fp, m.CurrentOrder())
 	return res, nil
 }

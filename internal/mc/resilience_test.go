@@ -3,6 +3,7 @@ package mc
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"wcet/internal/bdd"
 	"wcet/internal/fail"
 	"wcet/internal/faults"
+	"wcet/internal/obs"
 )
 
 // The model checker is the pipeline's most expensive stage, so it carries
@@ -85,5 +87,40 @@ func TestExplicitStateBudgetIsStructured(t *testing.T) {
 	res, err := CheckExplicitCtx(context.Background(), counterModel(), Options{MaxStates: 3})
 	if !errors.Is(err, fail.ErrBudgetExceeded) {
 		t.Fatalf("got (%v, %v), want ErrBudgetExceeded", res, err)
+	}
+}
+
+// TestFailedCheckLeavesOneSpan: a failed check still ends its volatile
+// mc.symbolic span, tagged with the error kind. The node-starved and the
+// cancelled call each leave exactly one event, so -trace shows the calls
+// that spent a budget, not only the ones that finished.
+func TestFailedCheckLeavesOneSpan(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		opt  Options
+		kind string
+	}{
+		{"node-budget", context.Background(), Options{MaxNodes: 16}, fail.KindBudget},
+		{"cancelled", cancelled, Options{}, fail.KindCancel},
+	} {
+		o := obs.New(obs.Config{})
+		if _, err := CheckSymbolicCtx(obs.With(tc.ctx, o), counterModel(), tc.opt); err == nil {
+			t.Fatalf("%s: the check succeeded", tc.name)
+		}
+		var spans []obs.Event
+		for _, ev := range o.Trace().Events() {
+			if ev.Name == "mc.symbolic" {
+				spans = append(spans, ev)
+			}
+		}
+		if len(spans) != 1 {
+			t.Fatalf("%s: %d mc.symbolic events, want 1", tc.name, len(spans))
+		}
+		if got := spans[0].Args; !reflect.DeepEqual(got, []obs.Arg{{K: "error", V: tc.kind}}) {
+			t.Errorf("%s: span args %v, want error=%s", tc.name, got, tc.kind)
+		}
 	}
 }

@@ -42,19 +42,19 @@ func TestSliceTrapDropsIrrelevant(t *testing.T) {
 }
 
 // TestSliceTrapPreservesVerdict: slicing the lexically-first path's model
-// must not change the symbolic verdict.
+// must not change its verdict.
 func TestSliceTrapPreservesVerdict(t *testing.T) {
 	m, _, _, _ := lowerSrc(t, optSrc, "f", true)
 	opt.VarInit(m)
 	sliced := m.Clone()
 	opt.SliceTrap(sliced)
-	// NoSlice on both checks: the engine must see exactly the models this
-	// test prepared, not re-slice them itself.
-	full, err := mc.CheckSymbolic(m, mc.Options{NoSlice: true})
+	// The explicit engine never slices: it checks exactly the models this
+	// test prepared.
+	full, err := mc.CheckExplicit(m, mc.Options{})
 	if err != nil {
 		t.Fatalf("unsliced: %v", err)
 	}
-	sres, err := mc.CheckSymbolic(sliced, mc.Options{NoSlice: true})
+	sres, err := mc.CheckExplicit(sliced, mc.Options{})
 	if err != nil {
 		t.Fatalf("sliced: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestSliceTrapUnreachableTrap(t *testing.T) {
 	if len(m.Edges) != 0 {
 		t.Errorf("%d edges survived a statically unreachable trap", len(m.Edges))
 	}
-	res, err := mc.CheckSymbolic(m, mc.Options{NoSlice: true})
+	res, err := mc.CheckExplicit(m, mc.Options{})
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
@@ -101,12 +101,12 @@ func TestSliceTrapUnreachableTrap(t *testing.T) {
 func TestSliceTrapComposesWithAll(t *testing.T) {
 	m, _, _, _ := lowerSrc(t, optSrc, "f", true)
 	opt.All(m)
-	before, err := mc.CheckSymbolic(m, mc.Options{NoSlice: true})
+	before, err := mc.CheckExplicit(m, mc.Options{})
 	if err != nil {
 		t.Fatalf("optimised: %v", err)
 	}
 	st := opt.SliceTrap(m)
-	after, err := mc.CheckSymbolic(m, mc.Options{NoSlice: true})
+	after, err := mc.CheckExplicit(m, mc.Options{})
 	if err != nil {
 		t.Fatalf("optimised+sliced: %v", err)
 	}

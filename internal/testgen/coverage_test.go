@@ -20,8 +20,7 @@ void f(void) {
     }
 }`, "f")
 	cov, err := gen.Cover("branch", Config{
-		GA:       ga.Config{Seed: 1, Pop: 30, MaxGens: 40, Stagnation: 10},
-		Optimise: true,
+		GA: ga.Config{Seed: 1, Pop: 30, MaxGens: 40, Stagnation: 10},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +48,7 @@ void f(void) {
     }
 }`, "f")
 	cov, err := gen.Cover("branch", Config{
-		GA:       ga.Config{Seed: 2, Pop: 30, MaxGens: 40, Stagnation: 10},
-		Optimise: true,
+		GA: ga.Config{Seed: 2, Pop: 30, MaxGens: 40, Stagnation: 10},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,8 +71,7 @@ void f(void) {
     r = r + 1;
 }`, "f")
 	cov, err := gen.Cover("statement", Config{
-		GA:       ga.Config{Seed: 3, Pop: 20, MaxGens: 30, Stagnation: 8},
-		Optimise: true,
+		GA: ga.Config{Seed: 3, Pop: 20, MaxGens: 30, Stagnation: 8},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ func TestForwardMatchesReachabilityOnGenResidue(t *testing.T) {
 		t.Fatal(err)
 	}
 	tg := testgen.New(file, fn, g)
-	conf := testgen.Config{Optimise: true}
+	conf := testgen.Config{}
 	residue := 0
 	for _, r := range rep.TestGen.Results {
 		if r.Verdict != testgen.FoundByModelChecker && r.Verdict != testgen.Infeasible {

@@ -48,7 +48,7 @@ func TestInjectedMCFaultDegradesToUnknown(t *testing.T) {
 	targets := endToEndPaths(t, gen)
 	ctx := faults.With(context.Background(), faults.New(
 		faults.Rule{Site: "testgen.mc", Index: -1, Err: fail.Budget("mc", "injected step budget")}))
-	rep, err := gen.GenerateCtx(ctx, targets, Config{GA: smallGA(), Optimise: true})
+	rep, err := gen.GenerateCtx(ctx, targets, Config{GA: smallGA()})
 	if err != nil {
 		t.Fatalf("a per-path fault must degrade, not abort: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestUnknownCausesIdenticalAcrossWorkers(t *testing.T) {
 	run := func(workers int) []string {
 		ctx := faults.With(context.Background(), faults.New(
 			faults.Rule{Site: "testgen.mc", Index: -1, Err: fail.Budget("mc", "injected")}))
-		conf := Config{GA: smallGA(), Optimise: true, Workers: workers}
+		conf := Config{GA: smallGA(), Workers: workers}
 		rep, err := gen.GenerateCtx(ctx, targets, conf)
 		if err != nil {
 			t.Fatal(err)
@@ -109,7 +109,7 @@ func TestGenerateCancelledAborts(t *testing.T) {
 	targets := endToEndPaths(t, gen)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := gen.GenerateCtx(ctx, targets, Config{GA: smallGA(), Optimise: true})
+	rep, err := gen.GenerateCtx(ctx, targets, Config{GA: smallGA()})
 	if !errors.Is(err, fail.ErrCancelled) {
 		t.Fatalf("got (%v, %v), want ErrCancelled", rep, err)
 	}
@@ -121,7 +121,7 @@ func TestInjectedPanicIsolatedAndDeterministic(t *testing.T) {
 	run := func(workers int) string {
 		ctx := faults.With(context.Background(), faults.New(
 			faults.Rule{Site: "testgen.search", Index: 0, Mode: faults.Panic}))
-		_, err := gen.GenerateCtx(ctx, targets, Config{GA: smallGA(), Optimise: true, Workers: workers})
+		_, err := gen.GenerateCtx(ctx, targets, Config{GA: smallGA(), Workers: workers})
 		if !errors.Is(err, fail.ErrWorkerPanic) {
 			t.Fatalf("workers=%d: got %v, want ErrWorkerPanic", workers, err)
 		}

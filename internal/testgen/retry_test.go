@@ -35,7 +35,7 @@ func TestNodeBudgetFailsOverToExplicitEngine(t *testing.T) {
 	targets := endToEndPaths(t, gen)
 	run := func(workers int) *Report {
 		rep, err := gen.GenerateCtx(context.Background(), targets, Config{
-			GA: smallGA(), Optimise: true, Workers: workers,
+			GA: smallGA(), Workers: workers,
 			MC: mc.Options{MaxNodes: 64},
 		})
 		if err != nil {
@@ -80,15 +80,27 @@ func zeroDurations(rep *Report) {
 	}
 }
 
-// TestFailoverDisabledDegradesToUnknown: with failover off, the same node
-// budget exhaustion degrades the residue to Unknown with a budget cause.
+// needleWideSrc hides its needle in an input space of 30001² vectors, far
+// past the failover cap: exact enumeration is refused there.
+const needleWideSrc = `
+/*@ input */ /*@ range 0 30000 */ int a;
+/*@ input */ /*@ range 0 30000 */ int b;
+int r;
+int f(void) {
+    r = 0;
+    if (a == 23456 && b == 12345) { r = 1; }
+    return r;
+}`
+
+// TestFailoverDisabledDegradesToUnknown: on an input space past the
+// failover cap, the same node budget exhaustion degrades the residue to
+// Unknown with a budget cause.
 func TestFailoverDisabledDegradesToUnknown(t *testing.T) {
-	gen := setup(t, needleRangedSrc, "f")
+	gen := setup(t, needleWideSrc, "f")
 	targets := endToEndPaths(t, gen)
 	rep, err := gen.GenerateCtx(context.Background(), targets, Config{
-		GA: smallGA(), Optimise: true,
-		MC:                mc.Options{MaxNodes: 64},
-		FailoverMaxStates: -1,
+		GA: smallGA(),
+		MC: mc.Options{MaxNodes: 64},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +113,11 @@ func TestFailoverDisabledDegradesToUnknown(t *testing.T) {
 		unknowns++
 		if !errors.Is(r.Err, fail.ErrBudgetExceeded) {
 			t.Errorf("path %s: cause = %v, want the exhausted node budget", r.Path.Key(), r.Err)
+		}
+		for _, line := range r.Attempts {
+			if strings.Contains(line, "failover") {
+				t.Errorf("path %s: failed over past the cap: %q", r.Path.Key(), line)
+			}
 		}
 	}
 	if unknowns == 0 {
@@ -122,7 +139,7 @@ func TestTransientFaultsRetriedDeterministically(t *testing.T) {
 			faults.Rule{Site: "testgen.mc", Index: -1, MaxFires: 1,
 				Err: fail.Infra("testgen", errors.New("injected transient mc fault"))}))
 		rep, err := gen.GenerateCtx(ctx, targets, Config{
-			GA: smallGA(), Optimise: true, Workers: workers,
+			GA: smallGA(), Workers: workers,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: transient faults within the attempt budget must heal: %v", workers, err)
@@ -160,7 +177,7 @@ func TestBudgetFaultNeverRetried(t *testing.T) {
 	ctx := faults.With(context.Background(), faults.New(
 		faults.Rule{Site: "testgen.mc", Index: -1, MaxFires: 1,
 			Err: fail.Budget("mc", "injected deterministic budget")}))
-	rep, err := gen.GenerateCtx(ctx, targets, Config{GA: smallGA(), Optimise: true})
+	rep, err := gen.GenerateCtx(ctx, targets, Config{GA: smallGA()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,13 +65,12 @@ type runner struct {
 
 // newRunner reads the run's journal, ledger scope, verdict cache and
 // observer off the context. The persistent cache only sees pure runs: an
-// attached order book makes node statistics depend on learned state, and
-// an active fault injector makes attempt histories depend on injected
-// failures — either would store records that are not functions of their
+// active fault injector makes attempt histories depend on injected
+// failures, which would store records that are not functions of their
 // keys.
-func newRunner(ctx context.Context, conf Config) *runner {
+func newRunner(ctx context.Context) *runner {
 	r := &runner{j: journal.From(ctx), scope: journal.ScopeFrom(ctx), o: obs.From(ctx)}
-	if conf.cacheable() && faults.From(ctx) == nil {
+	if faults.From(ctx) == nil {
 		r.vc = vcache.From(ctx)
 	}
 	return r

@@ -90,9 +90,8 @@ func TestGenerateDeterministicAcrossWorkers(t *testing.T) {
 	targets := endToEndPaths(t, gen)
 	run := func(workers int) *Report {
 		rep, err := gen.Generate(targets, Config{
-			GA:       ga.Config{Seed: 42, Pop: 40, MaxGens: 60, Stagnation: 15},
-			Optimise: true,
-			Workers:  workers,
+			GA:      ga.Config{Seed: 42, Pop: 40, MaxGens: 60, Stagnation: 15},
+			Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -134,12 +134,9 @@ type Config struct {
 	SkipGA bool
 	// SkipMC disables the model checker stage (heuristic-only baseline).
 	SkipMC bool
-	// Optimise runs the Section 3.2 pipeline on every path model before
-	// checking (recommended; off reproduces the naive translator).
-	Optimise bool
-	// MC bounds each model-checker run. MC.NoSlice, MC.NoReorder and
-	// MC.NoPool are the symbolic engine's A/B levers; they default to off
-	// (all levers enabled).
+	// MC bounds each model-checker run. Every path model is lowered at
+	// its declared widths, sliced to its trap and run through the Section
+	// 3.2 pipeline before it is checked; there is no switch for that.
 	MC mc.Options
 	// Base provides values for non-input variables at function entry.
 	Base interp.Env
@@ -148,24 +145,13 @@ type Config struct {
 	// logical backoff; deterministic budgets, infeasibility proofs and
 	// cancellation never retry. See internal/retry.
 	Retry retry.Policy
-	// FailoverMaxStates caps the input-space size up to which a symbolic
-	// run that exhausted its BDD node budget fails over to the explicit
-	// engine (which enumerates initial states exactly, so it is immune to
-	// BDD blow-up but exponential in input bits). 0 selects the default
-	// 65536 states; negative disables failover.
-	FailoverMaxStates int
 }
 
-// failoverMax resolves the effective failover input-space cap.
-func (c Config) failoverMax() float64 {
-	if c.FailoverMaxStates < 0 {
-		return 0
-	}
-	if c.FailoverMaxStates == 0 {
-		return 1 << 16
-	}
-	return float64(c.FailoverMaxStates)
-}
+// failoverMaxStates caps the input-space size up to which a symbolic run
+// that exhausted its BDD node budget fails over to the explicit engine,
+// which enumerates initial states exactly: immune to BDD blow-up, but
+// exponential in input bits.
+const failoverMaxStates = 1 << 16
 
 // Generator owns the analysed function.
 type Generator struct {
@@ -229,7 +215,7 @@ func (gen *Generator) Generate(targets []paths.Path, conf Config) (*Report, erro
 // persistent verdict cache, or computed.
 func (gen *Generator) GenerateCtx(ctx context.Context, targets []paths.Path, conf Config) (*Report, error) {
 	o := obs.From(ctx)
-	r := newRunner(ctx, conf)
+	r := newRunner(ctx)
 	n := len(targets)
 	keys := make([]string, n)
 	for i, p := range targets {
@@ -476,7 +462,7 @@ func (gen *Generator) checkResidue(ctx context.Context, r *runner, targets []pat
 				// the optimisation pipeline; a model that must be proved
 				// after all pays it now — exactly what lowerPath produces.
 				lower = func() (*c2m.Result, error) {
-					if p.err == nil && conf.Optimise {
+					if p.err == nil {
 						opt.All(p.low.Model)
 					}
 					return p.low, p.err
@@ -602,7 +588,7 @@ func (gen *Generator) prove(ctx context.Context, m *interp.Machine, low *c2m.Res
 	history := retry.History(attempts)
 	var lim *bdd.LimitError
 	if err != nil && ctx.Err() == nil && errors.As(err, &lim) {
-		if space := inputSpace(low.Model); space <= conf.failoverMax() {
+		if space := inputSpace(low.Model); space <= failoverMaxStates {
 			history = append(history,
 				fmt.Sprintf("failover: explicit engine (%.0f initial states)", space))
 			obs.From(ctx).Count("testgen.failover.explicit", 1)
@@ -678,18 +664,18 @@ func (gen *Generator) searchTarget(ctx context.Context, m *interp.Machine, board
 }
 
 // lowerQuery builds the per-path query up to — but not including — the
-// Section 3.2 optimisation pipeline: lowering, the sound
-// variable-initialisation pinning, and (unless mc.Options.NoSlice) the
-// per-trap program slice. The sliced-but-unoptimised model this returns is
-// the verdict cache's key content: every downstream transformation — the
-// optimisation pipeline, the engine's own idempotent re-slice — is a
+// Section 3.2 optimisation pipeline: lowering at declared widths, the sound
+// variable-initialisation pinning, and the per-trap program slice. The
+// sliced-but-unoptimised model this returns is the verdict cache's key
+// content: every downstream transformation — the optimisation pipeline,
+// the engine's own idempotent re-slice — is a
 // deterministic function of it plus config fields digested alongside the
 // model, so a cached verdict's statistics are a pure function of the key.
 // Crucially it costs a small fraction of the optimisation pipeline, which
 // is what lets a warm run compute every path's key and still come out far
 // ahead of re-proving.
 func (gen *Generator) lowerQuery(p paths.Path, conf Config) (*c2m.Result, error) {
-	low, err := c2m.LowerPath(gen.G, c2m.Options{NaiveWidths: !conf.Optimise}, p)
+	low, err := c2m.LowerPath(gen.G, c2m.Options{}, p)
 	if err != nil {
 		return nil, err
 	}
@@ -709,14 +695,12 @@ func (gen *Generator) lowerQuery(p paths.Path, conf Config) (*c2m.Result, error)
 			}
 		}
 	}
-	if !conf.MC.NoSlice {
-		opt.SliceTrap(model)
-	}
+	opt.SliceTrap(model)
 	return low, nil
 }
 
 // lowerPath builds the checked model for one path: lowerQuery plus the
-// Section 3.2 optimisation pipeline (optional). The result is a pure
+// Section 3.2 optimisation pipeline. The result is a pure
 // function of program + config, so the symbolic engine and an
 // explicit-engine failover check the same model. Slicing before optimising
 // means the expensive passes only see the trap-relevant fragment — and a
@@ -727,9 +711,7 @@ func (gen *Generator) lowerPath(p paths.Path, conf Config) (*c2m.Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	if conf.Optimise {
-		opt.All(low.Model)
-	}
+	opt.All(low.Model)
 	return low, nil
 }
 

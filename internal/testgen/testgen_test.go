@@ -56,8 +56,7 @@ func TestHybridCoversEverythingFeasible(t *testing.T) {
 	gen := setup(t, hybridSrc, "f")
 	targets := endToEndPaths(t, gen)
 	rep, err := gen.Generate(targets, Config{
-		GA:       ga.Config{Seed: 42, Pop: 40, MaxGens: 60, Stagnation: 15},
-		Optimise: true,
+		GA: ga.Config{Seed: 42, Pop: 40, MaxGens: 60, Stagnation: 15},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +105,7 @@ int f(void) {
     return r;
 }`, "f")
 	targets := endToEndPaths(t, gen)
-	rep, err := gen.Generate(targets, Config{SkipGA: true, Optimise: true})
+	rep, err := gen.Generate(targets, Config{SkipGA: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +164,7 @@ func TestSegmentTargets(t *testing.T) {
 		t.Fatal("no segment paths")
 	}
 	rep, err := gen.Generate(segPaths, Config{
-		GA:       ga.Config{Seed: 9, Pop: 40, MaxGens: 60, Stagnation: 15},
-		Optimise: true,
+		GA: ga.Config{Seed: 9, Pop: 40, MaxGens: 60, Stagnation: 15},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -211,9 +209,8 @@ int f(void) {
 	targets := endToEndPaths(t, gen)
 	base := interp.Env{stateDecl: 7}
 	rep, err := gen.Generate(targets, Config{
-		GA:       ga.Config{Seed: 4, Pop: 30, MaxGens: 40, Stagnation: 10},
-		Optimise: true,
-		Base:     base,
+		GA:   ga.Config{Seed: 4, Pop: 30, MaxGens: 40, Stagnation: 10},
+		Base: base,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +238,7 @@ func TestNegativeGuardOnNarrowedInput(t *testing.T) {
 	for _, typ := range []string{"char", "int"} {
 		gen := setup(t, "/*@ input */ /*@ range 0 100 */ "+typ+" x; char y;\n"+
 			"void f(void) { if (x < -7) { y = 1; } else { y = 2; } }\n", "f")
-		rep, err := gen.Generate(endToEndPaths(t, gen), Config{SkipGA: true, Optimise: true})
+		rep, err := gen.Generate(endToEndPaths(t, gen), Config{SkipGA: true})
 		if err != nil {
 			t.Fatal(err)
 		}

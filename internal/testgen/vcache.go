@@ -31,13 +31,9 @@ package testgen
 //     cheap heuristic stage is the price of its whole-program semantics.
 //
 // Keys deliberately digest budgets (MC step/state/node caps, per-call
-// timeout, retry policy, failover cap): a degraded or Unknown verdict is
-// only reusable under the budgets that produced it, and making the budgets
-// part of the identity enforces that by construction.
-//
-// Configurations carrying an mc.OrderBook are not cached at all: learned
-// variable orders change reorder behaviour and node statistics, so a
-// cached stat block would not be a pure function of the key.
+// timeout, retry policy): a degraded or Unknown verdict is only reusable
+// under the budgets that produced it, and making the budgets part of the
+// identity enforces that by construction.
 
 import (
 	"sort"
@@ -48,10 +44,6 @@ import (
 	"wcet/internal/paths"
 	"wcet/internal/vcache"
 )
-
-// cacheable reports whether the configuration's outcomes may cross the
-// persistent cache boundary at all.
-func (c Config) cacheable() bool { return c.MC.Orders == nil }
 
 // digestEnv folds an environment as sorted name=value pairs. Names, not
 // declaration pointers, define the identity — the same convention the
@@ -81,9 +73,9 @@ func digestRetry(h *vcache.Hasher, c Config) {
 
 // gaCacheKeys builds the stage-1 keys for every target up front (one
 // program print, shared across targets). Returns nil when the cache is
-// absent or the configuration is uncacheable.
+// absent.
 func (gen *Generator) gaCacheKeys(vc *vcache.Store, keys []string, conf Config) []vcache.Key {
-	if vc == nil || !conf.cacheable() {
+	if vc == nil {
 		return nil
 	}
 	prog := ast.Print(gen.File)
@@ -122,9 +114,9 @@ func (gen *Generator) gaCacheKeys(vc *vcache.Store, keys []string, conf Config) 
 // function of. The slice is what buys cross-edit stability, and digesting
 // *before* the optimisation pipeline is what makes the key cheap: a warm
 // run computes it without paying opt.All, and everything downstream of the
-// digested model (opt.All under conf.Optimise, the engine's own idempotent
-// re-slice) is a deterministic function of it — so equal keys mean equal
-// verdicts and equal statistics. The domain's version moves whenever the
+// digested model (opt.All, the engine's own idempotent re-slice) is a
+// deterministic function of it — so equal keys mean equal verdicts and
+// equal statistics. The domain's version moves whenever the
 // engine behind a query changes what its statistics mean (v3: loop-free
 // queries are decided by the forward engine), so a store written by the
 // previous engine misses instead of serving its Steps and PeakNodes.
@@ -143,11 +135,6 @@ func (gen *Generator) mcCacheKey(low *c2m.Result, conf Config) vcache.Key {
 	h.Int(int64(conf.MC.MaxStates))
 	h.Int(int64(conf.MC.MaxNodes))
 	h.Int(int64(conf.MC.Timeout))
-	h.Bool(conf.MC.NoSlice)
-	h.Bool(conf.MC.NoReorder)
-	h.Bool(conf.MC.NoPool)
-	h.Bool(conf.Optimise)
-	h.Int(int64(conf.FailoverMaxStates))
 	digestRetry(h, conf)
 	digestEnv(h, conf.Base)
 	return h.Sum()

@@ -10,9 +10,9 @@ import (
 // 64-bit FNV digest (variables with width, signedness, initialisation and
 // ranges; locations; edges with full guard and assignment expressions),
 // but as an unbounded byte stream suitable for a cryptographic hash.
-// Fingerprint keys in-process caches where a 64-bit digest is plenty
-// (mc.OrderBook); persistent stores shared across program edits key on a
-// 256-bit hash of this encoding instead, where an accidental collision
+// Fingerprint suits in-process caches where a 64-bit digest is plenty;
+// persistent stores shared across program edits key on a 256-bit hash of
+// this encoding instead, where an accidental collision
 // would silently replay a wrong verdict. Names are excluded, like in
 // Fingerprint: they do not influence the encoding.
 //

@@ -453,9 +453,8 @@ func boolInt(c bool) int64 {
 // signedness, initialisation, ranges), locations, and edges with their full
 // guard and assignment expressions — into a 64-bit FNV-1a digest. Two models
 // with equal fingerprints pose the same symbolic query, so the fingerprint
-// keys caches of query-derived artifacts such as learned BDD variable
-// orders (mc.OrderBook). Names are excluded: they do not influence the
-// encoding.
+// can key in-process caches of query-derived artifacts. Names are
+// excluded: they do not influence the encoding.
 func (m *Model) Fingerprint() uint64 {
 	h := fnvOffset
 	h = fnvInt(h, int64(m.NLocs))

@@ -14,14 +14,13 @@
 // deterministic model-checker option — the slice drops the parts of the
 // program a path's trap cannot see, so an edit elsewhere leaves the key
 // (and the cached verdict's validity) intact. The 64-bit FNV
-// Model.Fingerprint is deliberately not used here: it is plenty for the
-// in-process mc.OrderBook, but a persistent store shared across edits
-// needs collision resistance, because a colliding key would silently
-// replay a wrong verdict into a report.
+// Model.Fingerprint is deliberately not used here: a persistent store
+// shared across edits needs collision resistance, because a colliding key
+// would silently replay a wrong verdict into a report.
 //
 // Degraded and Unknown verdicts are reusable exactly because the key
 // digests the budgets (step, state and node caps, per-call timeout, retry
-// policy, failover cap) that produced them: a hit is by construction an
+// policy) that produced them: a hit is by construction an
 // outcome obtained under identical budgets, so "ran out of budget" is as
 // deterministic — and as cacheable — as "infeasible".
 //

@@ -26,8 +26,7 @@ import (
 func BenchmarkLiveTelemetry(b *testing.B) {
 	src := model.Wiper().Emit("wiper_control")
 	tg := testgen.Config{
-		GA:       ga.Config{Seed: 2005, Pop: 48, MaxGens: 80, Stagnation: 20},
-		Optimise: true,
+		GA: ga.Config{Seed: 2005, Pop: 48, MaxGens: 80, Stagnation: 20},
 	}
 	run := func(ob *Observer) *Report {
 		rep, err := Analyze(src, Options{

@@ -46,8 +46,7 @@ func BenchmarkRemoteAgents(b *testing.B) {
 		Bound:      8,
 		Exhaustive: true,
 		TestGen: testgen.Config{
-			GA:       ga.Config{Seed: 2005, Pop: 48, MaxGens: 80, Stagnation: 20},
-			Optimise: true,
+			GA: ga.Config{Seed: 2005, Pop: 48, MaxGens: 80, Stagnation: 20},
 		},
 	}
 	spec, err := NewLedgerSpec(src, opt)

@@ -93,7 +93,10 @@ type GAConfig = ga.Config
 // TestGenConfig tunes the hybrid test-data generator.
 type TestGenConfig = testgen.Config
 
-// MCOptions bound individual model-checker runs.
+// MCOptions bound individual model-checker runs: step, state and BDD-node
+// budgets and a wall clock. They are the model checker's only settings —
+// per-trap slicing, the Section 3.2 optimisations, dynamic reordering and
+// manager pooling always run.
 type MCOptions = mc.Options
 
 // Observer is the observability session threaded through an analysis via

@@ -36,8 +36,7 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 		Bound:      4,
 		Exhaustive: true,
 		TestGen: TestGenConfig{
-			GA:       GAConfig{Seed: 1, Pop: 32, MaxGens: 40, Stagnation: 10},
-			Optimise: true,
+			GA: GAConfig{Seed: 1, Pop: 32, MaxGens: 40, Stagnation: 10},
 		},
 	})
 	if err != nil {
@@ -117,8 +116,7 @@ void f(void) {
 	rep, err := Analyze(src, Options{
 		Bound: 1,
 		TestGen: TestGenConfig{
-			GA:       GAConfig{Seed: 3, Pop: 24, MaxGens: 30, Stagnation: 8},
-			Optimise: true,
+			GA: GAConfig{Seed: 3, Pop: 24, MaxGens: 30, Stagnation: 8},
 		},
 	})
 	if err != nil {
